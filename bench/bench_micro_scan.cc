@@ -394,8 +394,8 @@ int main() {
             f64_survivors += surv.size();
           }
         });
-        for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                                SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+        for (SimdLevel level :
+             {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
           if (!SimdLevelSupported(level)) continue;
           setenv("PMI_SIMD", SimdLevelName(level), 1);
           ReinitSimdDispatch();

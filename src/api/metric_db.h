@@ -21,21 +21,22 @@
 //     restore with zero distance computations.
 //
 // Concurrency model (see README "Concurrency model"): when the index
-// supports shadow-copy cloning and concurrent queries (the table indexes
-// -- LinearScan, LAESA, EPT, EPT*, FQA), the facade runs an
-// epoch-versioned read/write core.  Readers call Query/GetReadView from
-// any number of threads, lock-free on the hot path: each query pins the
-// currently published immutable TableVersion through an epoch slot and
-// runs the counter-free *Shared batch engine against it.  The single
-// writer (Apply/Insert/Remove, serialized on an internal writer lock)
-// clones the index -- copy-on-write at 256-row pivot-table-block
-// granularity -- applies the batch to the clone, and publishes it
-// atomically; superseded versions are reclaimed once the last pinned
-// reader drains.  Checkpoint snapshots a pinned version concurrently
-// with both readers and the writer.  A database whose write path went
-// read-only (WAL fault) keeps serving reads from the last published
-// version.  Indexes without clone support keep the legacy serialized
-// behavior (operations mutually exclude on the writer lock).
+// supports shadow-copy cloning (the table indexes -- LinearScan, LAESA,
+// EPT, EPT*, FQA -- and MVPT), the facade runs an epoch-versioned
+// read/write core.  Readers call Query/GetReadView from any number of
+// threads, lock-free on the hot path: each query pins the currently
+// published immutable TableVersion through an epoch slot and runs the
+// batch entry points against it (queries return their cost and never
+// write the index).  The single writer (Apply/Insert/Remove, serialized
+// on an internal writer lock) clones the index -- copy-on-write at
+// 256-row pivot-table-block granularity -- applies the batch to the
+// clone, and publishes it atomically; superseded versions are reclaimed
+// once the last pinned reader drains.  Checkpoint snapshots a pinned
+// version concurrently with both readers and the writer.  A database
+// whose write path went read-only (WAL fault) keeps serving reads from
+// the last published version.  Indexes without clone support keep the
+// legacy serialized behavior: the writer updates the one index in place,
+// so operations mutually exclude on the writer lock.
 
 #ifndef PMI_API_METRIC_DB_H_
 #define PMI_API_METRIC_DB_H_
@@ -437,13 +438,13 @@ class MetricDB {
   static Status ValidateRequest(const QueryRequest& request,
                                 const Dataset& data);
 
-  /// Answers an already-validated `request` against pinned version `v`
-  /// with the counter-free *Shared batch engine.
-  static QueryResult AnswerAtVersion(const TableVersion& v,
-                                     const QueryRequest& request);
+  /// Answers an already-validated `request` against `index` through the
+  /// batch entry points (uniform radius/k expanded per query).
+  static QueryResult Answer(const MetricIndex& index,
+                            const QueryRequest& request);
 
   /// True once the epoch-versioned read/write core is active (the index
-  /// supports shadow-copy cloning and concurrent queries).
+  /// supports shadow-copy cloning).
   bool versioned() const;
 
   /// Probes the index for clone support and, when present, publishes the

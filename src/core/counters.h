@@ -72,13 +72,12 @@ struct PerfCounters {
 /// thread-safe cost accounting (see README "Execution model").
 ///
 /// Counting must stay a plain non-atomic increment on the hot path, yet
-/// parallel build and batch-query regions have many threads counting on
-/// behalf of one index.  Each worker task opens a CounterScope over its
-/// own PerfCounters shard; MetricIndex::dist() consults Active() so every
-/// DistanceComputer created inside the task counts into the shard.  At
-/// the task boundary (the ParallelFor barrier) the shard deltas are
-/// folded into the index's counters with FoldCounters -- uint64 addition
-/// is exact and order-free, so totals are identical at any thread count.
+/// many threads query one index at once.  Every query opens a
+/// CounterScope over its own PerfCounters; MetricIndex::dist() and the
+/// storage layer consult Active(), so every charge made inside the query
+/// lands in its counter, which the entry point returns as the query's
+/// cost -- the index itself is never written.  uint64 addition is exact
+/// and order-free, so batch totals are identical at any thread count.
 class CounterScope {
  public:
   explicit CounterScope(PerfCounters* shard) : prev_(current_) {

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/core/thread_pool.h"
+
 namespace pmi {
 
 namespace {
@@ -14,24 +16,6 @@ constexpr uint32_t kMinPageSize = 64;
 }  // namespace
 
 namespace {
-
-// Converts per-query counter shards into per-query OpStats.  `seconds`
-// stays 0: per-query wall time is not well defined once queries
-// interleave block by block, and the bit-identical contract between
-// execution modes could never hold for a timing anyway.
-void ShardsToStats(const std::vector<PerfCounters>& shards,
-                   std::vector<OpStats>* out) {
-  out->resize(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    (*out)[i] = OpStats{};
-    (*out)[i].dist_computations = shards[i].dist_computations;
-    (*out)[i].page_reads = shards[i].page_reads;
-    (*out)[i].page_writes = shards[i].page_writes;
-    (*out)[i].pool_hits = shards[i].pool_hits;
-    (*out)[i].physical_reads = shards[i].physical_reads;
-    (*out)[i].physical_writes = shards[i].physical_writes;
-  }
-}
 
 // Batch descriptors are parallel vectors; a length mismatch is a
 // programmer error at the harness layer (the facade validates its
@@ -48,6 +32,47 @@ void CheckBatchSizes(size_t queries, size_t thresholds, const char* what) {
   }
 }
 
+// The batch engine of both query kinds.  Tries block_major(shards) when
+// `try_block_major` is set; when that is off or declines, runs query(i)
+// for every i over query chunks on the global pool, each query under a
+// CounterScope over a stack-local shard stored into shards[i] once
+// (adjacent elements share cache lines across chunk boundaries, and a
+// per-distance increment there would ping-pong the line between
+// workers).  Attribution is per query, hence exact at any thread count.
+// Returns the shards' sum plus anything charged on the calling thread
+// outside them; the index itself is never written.  Per-query `seconds`
+// stay 0: per-query wall time is not well defined once queries
+// interleave block by block, and the bit-identical contract between
+// execution modes could never hold for a timing anyway.
+template <typename BlockMajor, typename Query>
+PerfCounters RunBatch(size_t count, bool try_block_major,
+                      std::vector<OpStats>* per_query,
+                      BlockMajor&& block_major, Query&& query) {
+  std::vector<PerfCounters> shards(count);
+  PerfCounters total;
+  {
+    CounterScope scope(&total);
+    if (!(try_block_major && count > 0 && block_major(shards.data()))) {
+      ParallelQueryChunks(count, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          PerfCounters local;
+          {
+            CounterScope query_scope(&local);
+            query(i);
+          }
+          shards[i] += local;
+        }
+      });
+    }
+  }
+  if (per_query != nullptr) per_query->resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    total += shards[i];
+    if (per_query != nullptr) (*per_query)[i] = OpStats::From(shards[i]);
+  }
+  return total;
+}
+
 }  // namespace
 
 OpStats MetricIndex::RangeQueryBatch(const std::vector<ObjectView>& queries,
@@ -56,23 +81,16 @@ OpStats MetricIndex::RangeQueryBatch(const std::vector<ObjectView>& queries,
                                      std::vector<OpStats>* per_query,
                                      BatchMode mode) const {
   CheckBatchSizes(queries.size(), radii.size(), "radii");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  PerfCounters before = counters_;
+  out->assign(queries.size(), {});
   Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = RangeBatchBlockImpl(queries, radii.data(), out, shards.data());
-  }
-  if (!handled) {
-    RunQueryMajor(n, shards.data(), [&](size_t i) {
-      RangeImpl(queries[i], radii[i], &(*out)[i]);
-    });
-  }
-  for (const PerfCounters& s : shards) counters_ += s;
-  if (per_query != nullptr) ShardsToStats(shards, per_query);
-  return Finish(before, watch);
+  const PerfCounters total = RunBatch(
+      queries.size(), mode == BatchMode::kAuto && block_major_batches(),
+      per_query,
+      [&](PerfCounters* shards) {
+        return RangeBatchBlockImpl(queries, radii.data(), out, shards);
+      },
+      [&](size_t i) { RangeImpl(queries[i], radii[i], &(*out)[i]); });
+  return OpStats::From(total, watch.Seconds());
 }
 
 OpStats MetricIndex::KnnQueryBatch(const std::vector<ObjectView>& queries,
@@ -81,98 +99,16 @@ OpStats MetricIndex::KnnQueryBatch(const std::vector<ObjectView>& queries,
                                    std::vector<OpStats>* per_query,
                                    BatchMode mode) const {
   CheckBatchSizes(queries.size(), ks.size(), "neighbor counts");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  PerfCounters before = counters_;
+  out->assign(queries.size(), {});
   Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = KnnBatchBlockImpl(queries, ks.data(), out, shards.data());
-  }
-  if (!handled) {
-    RunQueryMajor(n, shards.data(), [&](size_t i) {
-      KnnImpl(queries[i], ks[i], &(*out)[i]);
-    });
-  }
-  for (const PerfCounters& s : shards) counters_ += s;
-  if (per_query != nullptr) ShardsToStats(shards, per_query);
-  return Finish(before, watch);
-}
-
-namespace {
-
-// Folds per-query shards into a batch total without ever touching the
-// index's cumulative counters -- the whole point of the *Shared entry
-// points (see index.h): a shared immutable snapshot must not be written
-// by its readers.
-OpStats FoldSharedBatch(const std::vector<PerfCounters>& shards,
-                        const Stopwatch& watch,
-                        std::vector<OpStats>* per_query) {
-  PerfCounters total;
-  for (const PerfCounters& s : shards) total += s;
-  if (per_query != nullptr) ShardsToStats(shards, per_query);
-  OpStats op;
-  op.dist_computations = total.dist_computations;
-  op.page_reads = total.page_reads;
-  op.page_writes = total.page_writes;
-  op.pool_hits = total.pool_hits;
-  op.physical_reads = total.physical_reads;
-  op.physical_writes = total.physical_writes;
-  op.seconds = watch.Seconds();
-  return op;
-}
-
-}  // namespace
-
-OpStats MetricIndex::RangeQueryBatchShared(
-    const std::vector<ObjectView>& queries, const std::vector<double>& radii,
-    std::vector<std::vector<ObjectId>>* out, std::vector<OpStats>* per_query,
-    BatchMode mode) const {
-  CheckBatchSizes(queries.size(), radii.size(), "radii");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = RangeBatchBlockImpl(queries, radii.data(), out, shards.data());
-  }
-  if (!handled) {
-    // Inline query-major loop: the calling thread is one of many
-    // concurrent readers, so fanning out over the shared pool here
-    // would only make the readers contend on its region lock.  Every
-    // *Impl counts through dist(), which honors the innermost
-    // CounterScope -- counters_ is never written.
-    for (size_t i = 0; i < n; ++i) {
-      CounterScope scope(&shards[i]);
-      RangeImpl(queries[i], radii[i], &(*out)[i]);
-    }
-  }
-  return FoldSharedBatch(shards, watch, per_query);
-}
-
-OpStats MetricIndex::KnnQueryBatchShared(const std::vector<ObjectView>& queries,
-                                         const std::vector<size_t>& ks,
-                                         std::vector<std::vector<Neighbor>>* out,
-                                         std::vector<OpStats>* per_query,
-                                         BatchMode mode) const {
-  CheckBatchSizes(queries.size(), ks.size(), "neighbor counts");
-  const size_t n = queries.size();
-  out->assign(n, {});
-  Stopwatch watch;
-  std::vector<PerfCounters> shards(n);
-  bool handled = false;
-  if (mode == BatchMode::kAuto && n > 0 && block_major_batches()) {
-    handled = KnnBatchBlockImpl(queries, ks.data(), out, shards.data());
-  }
-  if (!handled) {
-    for (size_t i = 0; i < n; ++i) {  // see RangeQueryBatchShared
-      CounterScope scope(&shards[i]);
-      KnnImpl(queries[i], ks[i], &(*out)[i]);
-    }
-  }
-  return FoldSharedBatch(shards, watch, per_query);
+  const PerfCounters total = RunBatch(
+      queries.size(), mode == BatchMode::kAuto && block_major_batches(),
+      per_query,
+      [&](PerfCounters* shards) {
+        return KnnBatchBlockImpl(queries, ks.data(), out, shards);
+      },
+      [&](size_t i) { KnnImpl(queries[i], ks[i], &(*out)[i]); });
+  return OpStats::From(total, watch.Seconds());
 }
 
 Status ValidateOptions(const IndexOptions& options) {

@@ -7,9 +7,13 @@
 // report storage split into main-memory (I) and disk (D) bytes (Table 4).
 //
 // Cost accounting follows the template-method pattern: the public
-// non-virtual entry points snapshot the per-index PerfCounters and a
-// stopwatch around each *Impl call, so all indexes report compdists / PA /
-// CPU time identically.
+// non-virtual entry points wrap each *Impl call in a stopwatch and a
+// counter sink, so all indexes report compdists / PA / CPU time
+// identically.  Queries count into a PerfCounters local to the call (a
+// CounterScope) and return it, so they never write the index and any
+// number of threads may query one instance at once.  Build, LoadState,
+// Insert and Remove mutate the index and are exclusive: no other
+// operation may run on the instance meanwhile.
 
 #ifndef PMI_CORE_INDEX_H_
 #define PMI_CORE_INDEX_H_
@@ -28,7 +32,6 @@
 #include "src/core/serialize.h"
 #include "src/core/simd.h"
 #include "src/core/status.h"
-#include "src/core/thread_pool.h"
 #include "src/storage/buffer_pool.h"
 
 namespace pmi {
@@ -119,6 +122,19 @@ struct OpStats {
   uint64_t page_accesses() const { return page_reads + page_writes; }
   uint64_t pa_physical() const { return physical_reads + physical_writes; }
 
+  /// The costs counted in `c`, over `seconds` of wall clock.
+  static OpStats From(const PerfCounters& c, double seconds = 0) {
+    OpStats s;
+    s.dist_computations = c.dist_computations;
+    s.page_reads = c.page_reads;
+    s.page_writes = c.page_writes;
+    s.pool_hits = c.pool_hits;
+    s.physical_reads = c.physical_reads;
+    s.physical_writes = c.physical_writes;
+    s.seconds = seconds;
+    return s;
+  }
+
   OpStats& operator+=(const OpStats& o) {
     dist_computations += o.dist_computations;
     page_reads += o.page_reads;
@@ -160,14 +176,14 @@ class MetricIndex {
   OpStats RangeQuery(const ObjectView& q, double r,
                      std::vector<ObjectId>* out) const {
     out->clear();
-    return Measure([&] { RangeImpl(q, r, out); });
+    return MeasureQuery([&] { RangeImpl(q, r, out); });
   }
 
   /// MkNNQ(q, k): the k nearest objects, ascending by distance.
   OpStats KnnQuery(const ObjectView& q, size_t k,
                    std::vector<Neighbor>* out) const {
     out->clear();
-    return Measure([&] { KnnImpl(q, k, out); });
+    return MeasureQuery([&] { KnnImpl(q, k, out); });
   }
 
   /// Deep-copies this index into an independent instance bound to the
@@ -181,22 +197,6 @@ class MetricIndex {
   /// the facade keeps it on the serialized legacy path.
   virtual std::unique_ptr<MetricIndex> Clone() const { return nullptr; }
 
-  /// True when independent queries may run concurrently on this index.
-  /// Fail-safe default: false.  An index opts in only after an audit
-  /// shows its query path shares no mutable state beyond the cost
-  /// counters (which the batch entry points redirect to per-thread
-  /// shards via CounterScope) -- per-query member scratch or query-path
-  /// RNGs disqualify it.  Disk residency no longer does: pages are
-  /// served through pinned BufferPool handles and the PagedFile's
-  /// logical LRU simulation is mutex-guarded, so the disk indexes'
-  /// read-only query paths opt in too (note that under a parallel
-  /// query-major batch the *interleaving* of the logical LRU becomes
-  /// thread-schedule-dependent, so logical PA totals of such batches are
-  /// only pinned for serial execution; results never depend on it).
-  /// Non-opted-in indexes keep the identical batch API and accounting;
-  /// their batches just run through the serial loop.
-  virtual bool concurrent_queries() const { return false; }
-
   /// True when this index implements the block-major batch engine
   /// (RangeBatchBlockImpl / KnnBatchBlockImpl): batch queries walk the
   /// pivot table block by block with every query of the batch filtered
@@ -209,48 +209,33 @@ class MetricIndex {
   /// Batch MRQ descriptor form: answers MRQ(queries[i], radii[i]) into
   /// (*out)[i] for every i -- per-query thresholds, so callers can mix
   /// selectivities in one batch.  Executes block-major when `mode`
-  /// allows and the index supports it, otherwise fans the query-major
-  /// loop across the global ThreadPool when concurrent_queries() allows.
-  /// Per-query result buffers are element-private and every distance
-  /// computation is counted into a per-query shard (folded into the
-  /// index total at the end), so results, total compdists, and the
-  /// optional `per_query` stats are identical across execution modes,
-  /// thread counts, and SIMD dispatch levels.  Per-query stats carry
-  /// compdists; `seconds` is meaningful only on the batch total (wall
-  /// clock of the whole batch, the QPS denominator).  Page accesses are
-  /// attributed per query through the same CounterScope routing as
-  /// compdists (the disk indexes charge both levels via
-  /// CounterScope::Active), so batch totals equal the serial sums.
-  /// Like every MetricIndex operation, this is externally synchronized:
-  /// one operation per index instance at a time (the non-atomic
-  /// counters_ bookkeeping would race otherwise).  Concurrent batches on
-  /// *distinct* indexes are fine -- their pool regions serialize, their
-  /// accounting does not interleave.
+  /// allows and the index supports it, otherwise runs the query-major
+  /// loop over query chunks on the global ThreadPool (inline when
+  /// another region holds the pool; see ParallelQueryChunks).  Per-query
+  /// result buffers are element-private and every distance computation
+  /// is counted into a per-query shard, so results, total compdists, and
+  /// the optional `per_query` stats are identical across execution
+  /// modes, thread counts, and SIMD dispatch levels.  Per-query stats
+  /// carry compdists; `seconds` is meaningful only on the batch total
+  /// (wall clock of the whole batch, the QPS denominator).  Page
+  /// accesses are attributed per query through the same CounterScope
+  /// routing as compdists (the disk indexes charge both levels via
+  /// CounterScope::Active), so batch totals equal the serial sums.  The
+  /// *order* in which concurrent queries touch a disk index's logical
+  /// LRU simulation depends on the thread schedule, so logical PA totals
+  /// are pinned only for serial execution; results never depend on it.
   OpStats RangeQueryBatch(const std::vector<ObjectView>& queries,
                           const std::vector<double>& radii,
                           std::vector<std::vector<ObjectId>>* out,
                           std::vector<OpStats>* per_query = nullptr,
                           BatchMode mode = BatchMode::kAuto) const;
 
-  /// Shared-read form of the batch MRQ: identical results and per-query
-  /// accounting, but the index instance is treated as strictly immutable
-  /// -- neither counters_ nor any other member is written, so any number
-  /// of threads may run *Shared batches on one instance concurrently
-  /// (the concurrency layer's readers all query the same published
-  /// version).  The cost of a batch is returned, not accumulated: the
-  /// instance's cumulative counters simply do not advance, which is the
-  /// correct reading for a shared snapshot whose readers are mutually
-  /// anonymous.  Requires concurrent_queries(); the query-major loop
-  /// runs inline on the calling thread (each reader IS the parallelism),
-  /// and the block-major engine's internal pool region degrades to
-  /// inline execution whenever another region holds the pool (see
-  /// ThreadPool::TryDispatch), which by the partitioning contract never
-  /// changes results.
-  OpStats RangeQueryBatchShared(const std::vector<ObjectView>& queries,
-                                const std::vector<double>& radii,
-                                std::vector<std::vector<ObjectId>>* out,
-                                std::vector<OpStats>* per_query = nullptr,
-                                BatchMode mode = BatchMode::kAuto) const;
+  /// Former name of RangeQueryBatch, kept for existing callers.
+  OpStats RangeQueryBatchShared(
+      const std::vector<ObjectView>& queries, const std::vector<double>& radii,
+      std::vector<std::vector<ObjectId>>* out) const {
+    return RangeQueryBatch(queries, radii, out);
+  }
 
   /// Uniform-radius convenience form of the batch MRQ descriptor.
   OpStats RangeQueryBatch(const std::vector<ObjectView>& queries, double r,
@@ -268,12 +253,12 @@ class MetricIndex {
                         std::vector<OpStats>* per_query = nullptr,
                         BatchMode mode = BatchMode::kAuto) const;
 
-  /// Shared-read form of the batch MkNNQ (see RangeQueryBatchShared).
+  /// Former name of KnnQueryBatch, kept for existing callers.
   OpStats KnnQueryBatchShared(const std::vector<ObjectView>& queries,
                               const std::vector<size_t>& ks,
-                              std::vector<std::vector<Neighbor>>* out,
-                              std::vector<OpStats>* per_query = nullptr,
-                              BatchMode mode = BatchMode::kAuto) const;
+                              std::vector<std::vector<Neighbor>>* out) const {
+    return KnnQueryBatch(queries, ks, out);
+  }
 
   /// Uniform-k convenience form of the batch MkNNQ descriptor.
   OpStats KnnQueryBatch(const std::vector<ObjectView>& queries, size_t k,
@@ -304,10 +289,8 @@ class MetricIndex {
     data_ = &data;
     metric_ = &metric;
     pivots_ = pivots;
-    PerfCounters before = counters_;
-    Stopwatch watch;
-    Status status = LoadImpl(in);
-    OpStats op = Finish(before, watch);
+    Status status;
+    OpStats op = Measure([&] { status = LoadImpl(in); });
     if (stats != nullptr) *stats = op;
     return status;
   }
@@ -370,8 +353,8 @@ class MetricIndex {
   /// one block-major pass; returning false (the default) sends the batch
   /// down the query-major loop.  `per_query` points at one PerfCounters
   /// shard per query: every distance computation must be counted into
-  /// its query's shard (the entry point folds them into counters_ and
-  /// derives the per-query stats), and query i's results must be
+  /// its query's shard (the entry point sums them into the batch total
+  /// and derives the per-query stats), and query i's results must be
   /// bit-identical -- contents and order -- to what RangeImpl/KnnImpl
   /// would produce for that query alone.
   virtual bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
@@ -395,9 +378,9 @@ class MetricIndex {
     return false;
   }
 
-  /// Counting distance computer bound to this index's counters -- or, on
-  /// a worker thread inside a parallel region, to that thread's
-  /// CounterScope shard (folded back at the task boundary).
+  /// Counting distance computer bound to the innermost CounterScope on
+  /// this thread -- the calling query's own counters inside a query --
+  /// or, outside any scope (Build/Insert/Remove), this index's counters.
   DistanceComputer dist() const {
     return DistanceComputer(metric_, CounterScope::Active(&counters_));
   }
@@ -409,67 +392,34 @@ class MetricIndex {
   const Metric* metric_ = nullptr;
   PivotSet pivots_;
   IndexOptions options_;
+  /// Cumulative cost of the exclusive operations (Build, LoadState,
+  /// Insert, Remove).  Queries never write it: they count into their own
+  /// CounterScope, which is what makes them safe to run concurrently.
+  /// Mutable only because the const dist() hands out its address as the
+  /// sink for charges made outside any scope.
   mutable PerfCounters counters_;
 
  private:
+  /// Measures an exclusive operation by its delta on counters_.
   template <typename Fn>
-  OpStats Measure(Fn&& fn) const {
+  OpStats Measure(Fn&& fn) {
     PerfCounters before = counters_;
     Stopwatch watch;
     fn();
-    return Finish(before, watch);
+    return OpStats::From(counters_ - before, watch.Seconds());
   }
 
-  /// Query-major batch loop: runs per_query(i) for i in [0, count), in
-  /// parallel over fixed chunks when allowed, serially otherwise.  Each
-  /// query runs under a CounterScope over its own per_query shard (every
-  /// *Impl reaches its counters through dist(), which honors the
-  /// innermost scope), so the attribution is per query -- exact at any
-  /// thread count, since shards are element-indexed, not slot-indexed.
-  /// The caller folds the shards into counters_.
-  template <typename PerQuery>
-  void RunQueryMajor(size_t count, PerfCounters* per_query,
-                     PerQuery&& fn) const {
-    // Serial cases never touch Global(): a process that only runs
-    // serial batches stays worker-thread-free.
-    if (concurrent_queries() && count > 1) {
-      ThreadPool& pool = ThreadPool::Global();
-      if (pool.size() > 1) {
-        ParallelFor(pool, count, [&](size_t begin, size_t end, unsigned) {
-          for (size_t i = begin; i < end; ++i) {
-            // Count into a stack-local shard and store once: adjacent
-            // per_query elements share cache lines across chunk
-            // boundaries, and a per-distance increment there would
-            // ping-pong the line between workers (the false sharing
-            // CounterShard's alignas(64) exists to avoid).
-            PerfCounters local;
-            {
-              CounterScope scope(&local);
-              fn(i);
-            }
-            per_query[i] += local;
-          }
-        });
-        return;
-      }
+  /// Measures a query: every charge on this thread lands in a counter
+  /// local to the call, which becomes the returned cost.
+  template <typename Fn>
+  static OpStats MeasureQuery(Fn&& fn) {
+    PerfCounters local;
+    Stopwatch watch;
+    {
+      CounterScope scope(&local);
+      fn();
     }
-    for (size_t i = 0; i < count; ++i) {
-      CounterScope scope(&per_query[i]);
-      fn(i);
-    }
-  }
-
-  OpStats Finish(const PerfCounters& before, const Stopwatch& watch) const {
-    PerfCounters delta = counters_ - before;
-    OpStats s;
-    s.dist_computations = delta.dist_computations;
-    s.page_reads = delta.page_reads;
-    s.page_writes = delta.page_writes;
-    s.pool_hits = delta.pool_hits;
-    s.physical_reads = delta.physical_reads;
-    s.physical_writes = delta.physical_writes;
-    s.seconds = watch.Seconds();
-    return s;
+    return OpStats::From(local, watch.Seconds());
   }
 };
 

@@ -119,7 +119,7 @@ size_t PivotTable::ContinueCascadeIndirect(const FilterQuery& fq,
   s.rn = fq.rn[0];
   s.rd = fq.r_cached;
   uint32_t p = 1;
-  for (; p < width_ && DenseEnough(ops.dense_divisor_gather, n, count); ++p) {
+  for (; p < width_ && DenseEnough(ops.dense_divisor, n, count); ++p) {
     s.colf = ColF(blk, p);
     s.cold = ColD(blk, p);
     s.idx = ColI(blk, p);

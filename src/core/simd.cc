@@ -8,10 +8,6 @@
 #define PMI_SIMD_X86 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#define PMI_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace pmi {
 namespace {
@@ -1046,161 +1042,6 @@ bool CpuSupportsAvx512() {
 
 #endif  // PMI_SIMD_X86
 
-#if PMI_SIMD_NEON
-
-// ---------------------------------------------------------------------------
-// NEON: 4 float lanes for the contiguous sweeps (FABD = abs-difference
-// in one rounding, identical to fabsf(a - b)); the gather, compaction,
-// and refine forms stay scalar -- AArch64 has no gather, and the
-// survivor lists the refines touch are short.
-// ---------------------------------------------------------------------------
-
-size_t MaskSweepNeon(const ExactSlot& s, size_t count, uint8_t* keep) {
-  const float32x4_t vq = vdupq_n_f32(s.qf);
-  const float32x4_t vrw = vdupq_n_f32(s.rw);
-  const float32x4_t vrn = vdupq_n_f32(s.rn);
-  const float32x4_t vmax = vdupq_n_f32(kFltMax);
-  size_t n = 0;
-  uint32_t amb = 0;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const float32x4_t x = vld1q_f32(s.colf + i);
-    const float32x4_t d = vabdq_f32(x, vq);
-    const uint32x4_t mw = vcleq_f32(d, vrw);
-    const uint32x4_t mc =
-        vandq_u32(vcleq_f32(d, vrn), vcltq_f32(vabsq_f32(x), vmax));
-    const uint32x4_t a = vbicq_u32(mw, mc);
-    uint32_t w[4], av[4];
-    vst1q_u32(w, mw);
-    vst1q_u32(av, a);
-    for (int t = 0; t < 4; ++t) {
-      const uint8_t kb = w[t] & 1u;
-      keep[i + t] = kb;
-      n += kb;
-      amb |= av[t];
-    }
-  }
-  for (; i < count; ++i) {
-    const float x = s.colf[i];
-    const float d = std::fabs(x - s.qf);
-    const uint8_t kw = d <= s.rw;
-    const uint8_t kc = (d <= s.rn) & (std::fabs(x) < kFltMax);
-    keep[i] = kw;
-    n += kw;
-    amb |= kw & (kc ^ 1);
-  }
-  if (amb != 0) n = ResolveAmbiguous(s, count, keep);
-  return n;
-}
-
-size_t MaskAndNeon(const ExactSlot& s, size_t count, uint8_t* keep) {
-  const float32x4_t vq = vdupq_n_f32(s.qf);
-  const float32x4_t vrw = vdupq_n_f32(s.rw);
-  const float32x4_t vrn = vdupq_n_f32(s.rn);
-  const float32x4_t vmax = vdupq_n_f32(kFltMax);
-  size_t n = 0;
-  uint32_t amb = 0;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const float32x4_t x = vld1q_f32(s.colf + i);
-    const float32x4_t d = vabdq_f32(x, vq);
-    const uint32x4_t mw = vcleq_f32(d, vrw);
-    const uint32x4_t mc =
-        vandq_u32(vcleq_f32(d, vrn), vcltq_f32(vabsq_f32(x), vmax));
-    uint32_t w[4], c[4];
-    vst1q_u32(w, mw);
-    vst1q_u32(c, mc);
-    for (int t = 0; t < 4; ++t) {
-      const uint8_t kb = keep[i + t] & (w[t] & 1u);
-      keep[i + t] = kb;
-      n += kb;
-      amb |= kb & ((c[t] & 1u) ^ 1u);
-    }
-  }
-  for (; i < count; ++i) {
-    const float x = s.colf[i];
-    const float d = std::fabs(x - s.qf);
-    const uint8_t kw = keep[i] & static_cast<uint8_t>(d <= s.rw);
-    const uint8_t kc = (d <= s.rn) & (std::fabs(x) < kFltMax);
-    keep[i] = kw;
-    n += kw;
-    amb |= kw & (kc ^ 1);
-  }
-  if (amb != 0) n = ResolveAmbiguous(s, count, keep);
-  return n;
-}
-
-// Multi-query sweep: the 4-lane x load is shared across a
-// register-resident group of 4 queries (12 broadcast q-registers of the
-// 32 available); the per-lane expressions match MaskSweepNeon exactly.
-template <size_t G>
-void MaskSweepMultiNeonGroup(const ExactSlot* slots, size_t count,
-                             uint8_t* keep, size_t keep_stride,
-                             size_t* counts) {
-  float32x4_t vq[G], vrw[G], vrn[G];
-  uint32_t amb[G];
-  size_t cnt[G];
-  for (size_t j = 0; j < G; ++j) {
-    vq[j] = vdupq_n_f32(slots[j].qf);
-    vrw[j] = vdupq_n_f32(slots[j].rw);
-    vrn[j] = vdupq_n_f32(slots[j].rn);
-    amb[j] = 0;
-    cnt[j] = 0;
-  }
-  const float32x4_t vmax = vdupq_n_f32(kFltMax);
-  const float* colf = slots[0].colf;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const float32x4_t x = vld1q_f32(colf + i);
-    const uint32x4_t xok = vcltq_f32(vabsq_f32(x), vmax);
-    for (size_t j = 0; j < G; ++j) {
-      const float32x4_t d = vabdq_f32(x, vq[j]);
-      const uint32x4_t mw = vcleq_f32(d, vrw[j]);
-      const uint32x4_t mc = vandq_u32(vcleq_f32(d, vrn[j]), xok);
-      const uint32x4_t a = vbicq_u32(mw, mc);
-      uint32_t w[4], av[4];
-      vst1q_u32(w, mw);
-      vst1q_u32(av, a);
-      for (int t = 0; t < 4; ++t) {
-        const uint8_t kb = w[t] & 1u;
-        keep[j * keep_stride + i + t] = kb;
-        cnt[j] += kb;
-        amb[j] |= av[t];
-      }
-    }
-  }
-  for (; i < count; ++i) {
-    const float x = colf[i];
-    for (size_t j = 0; j < G; ++j) {
-      const float d = std::fabs(x - slots[j].qf);
-      const uint8_t kw = d <= slots[j].rw;
-      const uint8_t kc = (d <= slots[j].rn) & (std::fabs(x) < kFltMax);
-      keep[j * keep_stride + i] = kw;
-      cnt[j] += kw;
-      amb[j] |= kw & (kc ^ 1);
-    }
-  }
-  for (size_t j = 0; j < G; ++j) {
-    counts[j] = amb[j] != 0
-                    ? ResolveAmbiguous(slots[j], count, keep + j * keep_stride)
-                    : cnt[j];
-  }
-}
-
-void MaskSweepMultiNeon(const ExactSlot* slots, size_t nq, size_t count,
-                        uint8_t* keep, size_t keep_stride, size_t* counts) {
-  size_t t = 0;
-  for (; t + 4 <= nq; t += 4) {
-    MaskSweepMultiNeonGroup<4>(slots + t, count, keep + t * keep_stride,
-                               keep_stride, counts + t);
-  }
-  for (; t < nq; ++t) {
-    counts[t] = MaskSweepNeon(slots[t], count, keep + t * keep_stride);
-  }
-}
-
-#endif  // PMI_SIMD_NEON
-
 // ---------------------------------------------------------------------------
 // Dispatch resolution.
 // ---------------------------------------------------------------------------
@@ -1210,8 +1051,6 @@ SimdLevel DetectBestLevel() {
   if (CpuSupportsAvx512()) return SimdLevel::kAvx512;
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
   return SimdLevel::kScalar;
-#elif PMI_SIMD_NEON
-  return SimdLevel::kNeon;
 #else
   return SimdLevel::kScalar;
 #endif
@@ -1237,7 +1076,6 @@ SimdOps MakeOps(SimdLevel level) {
     case SimdLevel::kAvx2:
       ops.level = SimdLevel::kAvx2;
       ops.dense_divisor = 8;
-      ops.dense_divisor_gather = 8;
       ops.mask_sweep = MaskSweepAvx2;
       ops.mask_sweep_gather = MaskSweepGatherAvx2;
       ops.mask_sweep_multi = MaskSweepMultiAvx2;
@@ -1252,7 +1090,6 @@ SimdOps MakeOps(SimdLevel level) {
     case SimdLevel::kAvx512:
       ops.level = SimdLevel::kAvx512;
       ops.dense_divisor = 8;
-      ops.dense_divisor_gather = 8;
       ops.mask_sweep = MaskSweepAvx512;
       ops.mask_sweep_gather = MaskSweepGatherAvx512;
       ops.mask_sweep_multi = MaskSweepMultiAvx512;
@@ -1262,17 +1099,6 @@ SimdOps MakeOps(SimdLevel level) {
       ops.compact = CompactAvx512;
       ops.refine_f64 = RefineF64Avx512;
       ops.refine_f64_gather = RefineF64GatherAvx512;
-      break;
-#endif
-#if PMI_SIMD_NEON
-    case SimdLevel::kNeon:
-      ops.level = SimdLevel::kNeon;
-      // Contiguous kernels only: the gather form stays on the sparse
-      // survivor walk (dense_divisor_gather = 0) -- no NEON gathers.
-      ops.dense_divisor = 8;
-      ops.mask_sweep = MaskSweepNeon;
-      ops.mask_sweep_multi = MaskSweepMultiNeon;
-      ops.mask_and = MaskAndNeon;
       break;
 #endif
     default:
@@ -1292,11 +1118,9 @@ SimdOps ResolveOps() {
       requested = SimdLevel::kAvx2;
     } else if (std::strcmp(env, "avx512") == 0) {
       requested = SimdLevel::kAvx512;
-    } else if (std::strcmp(env, "neon") == 0) {
-      requested = SimdLevel::kNeon;
     } else {
       std::fprintf(stderr,
-                   "pmi: PMI_SIMD=\"%s\" is not scalar|avx2|avx512|neon|auto; "
+                   "pmi: PMI_SIMD=\"%s\" is not scalar|avx2|avx512|auto; "
                    "using %s\n",
                    env, SimdLevelName(level));
       requested = level;
@@ -1323,8 +1147,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kNeon:
-      return "neon";
     case SimdLevel::kAvx2:
       return "avx2";
     case SimdLevel::kAvx512:
@@ -1342,10 +1164,6 @@ bool SimdLevelSupported(SimdLevel level) {
       return __builtin_cpu_supports("avx2");
     case SimdLevel::kAvx512:
       return CpuSupportsAvx512();
-#endif
-#if PMI_SIMD_NEON
-    case SimdLevel::kNeon:
-      return true;
 #endif
     default:
       return false;

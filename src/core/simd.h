@@ -13,11 +13,12 @@
 //   *_multi               batch forms: the same cells evaluated for
 //                         several queries per load (block-major engine)
 //
-// One implementation set exists per SimdLevel (scalar, AVX2, AVX-512,
-// NEON).  The level is resolved ONCE, at first use: the widest set the
-// CPU supports, overridable with the PMI_SIMD environment knob
-// ("scalar" | "avx2" | "avx512" | "neon" | "auto").  Every level
-// computes exactly the same per-element float predicate
+// One implementation set exists per SimdLevel (scalar, AVX2, AVX-512;
+// other targets, AArch64 included, run the scalar level).  The level is
+// resolved ONCE, at first use: the widest set the CPU supports,
+// overridable with the PMI_SIMD environment knob
+// ("scalar" | "avx2" | "avx512" | "auto").  Every level computes
+// exactly the same per-element float predicate
 //
 //   keep(i)  <=>  fabsf(col[i] - q) <= r        (IEEE-754 binary32)
 //
@@ -48,9 +49,8 @@ namespace pmi {
 /// Kernel implementation tiers, narrowest to widest.
 enum class SimdLevel : uint8_t {
   kScalar = 0,  ///< portable C++ (still auto-vectorizable by the compiler)
-  kNeon = 1,    ///< AArch64 NEON, 4 float lanes
-  kAvx2 = 2,    ///< x86 AVX2 + FMA, 8 float lanes
-  kAvx512 = 3,  ///< x86 AVX-512 F/BW/DQ/VL, 16 float lanes + compress-store
+  kAvx2 = 1,    ///< x86 AVX2 + FMA, 8 float lanes
+  kAvx512 = 2,  ///< x86 AVX-512 F/BW/DQ/VL, 16 float lanes + compress-store
 };
 
 /// Human-readable level name ("scalar", "avx2", ...).
@@ -123,12 +123,9 @@ struct SimdOps {
   /// survivors * dense_divisor >= block rows.  0 disables the dense path
   /// -- on the scalar level a whole-block re-sweep never beats the
   /// branch-free survivor walk, while the vector levels narrow 8-16
-  /// lanes per cycle contiguously.  The gather (per-row-pivot) form has
-  /// its own divisor because a level may vectorize only the contiguous
-  /// kernels (NEON: no gather hardware), in which case whole-block
-  /// gather re-sweeps would cost more than the survivor walk ever does.
+  /// lanes per cycle contiguously.  Applies to the contiguous and the
+  /// gather (per-row-pivot) forms alike.
   unsigned dense_divisor = 0;
-  unsigned dense_divisor_gather = 0;
 
   /// keep[i] = (fabs(cold[i] - qd) <= rd) ? 1 : 0 for i < count, decided
   /// through the two-sided f32 test with f64 fallback on ambiguity;

@@ -257,7 +257,7 @@ bool Ept::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                               std::vector<std::vector<ObjectId>>* out,
                               PerfCounters* per_query) const {
   ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
+      queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
         // Worker-private shards, folded once at chunk end (see
         // Laesa::RangeBatchBlockImpl).
@@ -292,7 +292,7 @@ bool Ept::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
                             std::vector<std::vector<Neighbor>>* out,
                             PerfCounters* per_query) const {
   ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
+      queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
         std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
         std::vector<std::vector<double>> d_qp(m);

@@ -73,7 +73,7 @@ bool Laesa::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
                                 std::vector<std::vector<ObjectId>>* out,
                                 PerfCounters* per_query) const {
   ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
+      queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
         // Worker-private counter shards, folded into the (cache-line-
         // adjacent, cross-worker) per_query array once at chunk end --
@@ -112,7 +112,7 @@ bool Laesa::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
                               std::vector<std::vector<Neighbor>>* out,
                               PerfCounters* per_query) const {
   ParallelQueryChunks(
-      concurrent_queries(), queries.size(), [&](size_t qb, size_t qe) {
+      queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
         std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
         std::vector<std::vector<double>> phi(m);

@@ -31,7 +31,10 @@ class RawBatchEdgeTest : public ::testing::TestWithParam<std::string> {
     for (ObjectId q = 0; q < 6; ++q) queries_.push_back(bd_.data.view(q));
   }
 
-  BenchDataset bd_{.name = "", .data = Dataset::Vectors(0)};
+  BenchDataset bd_{.name = "",
+                   .data = Dataset::Vectors(0),
+                   .metric = nullptr,
+                   .id = BenchDatasetId::kLa};
   PivotSet pivots_;
   std::unique_ptr<MetricIndex> index_;
   std::vector<ObjectView> queries_;

@@ -292,8 +292,8 @@ TEST_F(BatchInvarianceTest, LevelThreadModeCrossProduct) {
     uint64_t compdists = 0;
   };
   std::vector<Capture> captures;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (!SimdLevelSupported(level)) continue;
     ASSERT_EQ(setenv("PMI_SIMD", SimdLevelName(level), 1), 0);
     ReinitSimdDispatch();

@@ -11,10 +11,10 @@
 // to run under ThreadSanitizer in CI (the concurrent-stress job); data
 // races are the other half of the acceptance criterion.
 //
-// Also covered here: the shared buffer pool under parallel readers (two
-// disk indexes on one tiny pool, answers vs a serial reference while a
-// poller races the stats accessor), the directory LOCK file protocol
-// (second-open
+// Also covered here: concurrent single and batch queries on shared index
+// instances (two disk indexes on one tiny pool plus LAESA and MVPT,
+// answers and compdists vs a serial reference while a poller races the
+// pool stats accessor), the directory LOCK file protocol (second-open
 // refusal, foreign live owner, stale owners, same-pid reopen after a
 // simulated crash) and graceful read-only degradation -- a WAL fault
 // mid-stress flips the database read-only and reads must keep
@@ -462,13 +462,16 @@ TEST(ConcurrentCloseTest, CloseRacesInFlightQueries) {
 
 // -- buffer pool under concurrent readers -------------------------------------
 
-// The pool half of the concurrency acceptance: two disk indexes share
-// one deliberately tiny BufferPool while N reader threads hammer both
-// with shared batch queries and a poller thread reads pool stats the
-// whole time.  Pinned handles must keep every in-flight page alive
-// through the constant cross-index eviction churn, answers must stay
-// bit-identical to the serial warm-up replay, and the run must be
-// TSan-clean (the concurrent-stress CI job).
+// The pool half of the concurrency acceptance, and the contract that
+// queries never write the index they run on.  Two disk indexes (CPT,
+// SPB-tree) share one deliberately tiny BufferPool next to LAESA
+// (block-major batches) and MVPT (query-major batches); N reader threads
+// walk the four instances in step, mixing single and batch MRQ/MkNNQ on
+// each, while a poller thread reads pool stats the whole time.  Pinned
+// handles must keep every in-flight page alive through the constant
+// cross-index eviction churn, every answer and every per-call compdists
+// must equal the serial one-query-at-a-time reference, and the run must
+// be TSan-clean (the concurrent-stress CI job).
 TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
   BenchDataset bd = MakeBenchDataset(BenchDatasetId::kSynthetic, 300, 91);
   PivotSelectionOptions po;
@@ -487,13 +490,14 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
   auto pool = std::make_shared<BufferPool>(opts.page_size, pool_bytes);
   opts.buffer_pool = pool;
 
-  auto cpt = MakeIndex("CPT", opts);
-  auto spb = MakeIndex("SPB-tree", opts);
-  ASSERT_TRUE(cpt != nullptr && spb != nullptr);
-  ASSERT_TRUE(cpt->concurrent_queries());
-  ASSERT_TRUE(spb->concurrent_queries());
-  cpt->Build(bd.data, *bd.metric, pivots);
-  spb->Build(bd.data, *bd.metric, pivots);
+  std::vector<std::unique_ptr<MetricIndex>> indexes;
+  for (const char* name : {"CPT", "SPB-tree", "LAESA", "MVPT"}) {
+    indexes.push_back(MakeIndex(name, opts));
+    ASSERT_TRUE(indexes.back() != nullptr) << name;
+    indexes.back()->Build(bd.data, *bd.metric, pivots);
+  }
+  ASSERT_TRUE(indexes[2]->block_major_batches());
+  ASSERT_FALSE(indexes[3]->block_major_batches());
 
   const double base_radius = SampleRadius(bd.data, *bd.metric);
   Rng rng(kScriptSeed ^ 0xb00);
@@ -506,30 +510,42 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
     ks.push_back(1 + rng() % 8);
   }
 
-  // Serial warm-up replay: the reference answers every thread must
-  // reproduce exactly, and sorted MRQ sets so comparisons are stable.
+  // Sorted MRQ sets and kNN distance profiles, so comparisons are stable
+  // under ties.
+  auto sorted = [](std::vector<ObjectId> ids) {
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  auto profile = [](const std::vector<Neighbor>& nn) {
+    std::vector<double> dists;
+    for (const Neighbor& x : nn) dists.push_back(x.dist);
+    return dists;
+  };
+
+  // Serial reference, one query at a time: the answers and per-query
+  // compdists every thread must reproduce exactly.
   struct Reference {
     std::vector<std::vector<ObjectId>> mrq;
-    std::vector<std::vector<double>> knn;  // ascending distance profiles
+    std::vector<std::vector<double>> knn;
+    std::vector<uint64_t> mrq_dists;
+    std::vector<uint64_t> knn_dists;
   };
-  auto record = [&](MetricIndex* index) {
+  std::vector<Reference> refs;
+  for (const auto& index : indexes) {
     Reference ref;
-    index->RangeQueryBatchShared(queries, radii, &ref.mrq);
-    for (std::vector<ObjectId>& ids : ref.mrq) {
-      std::sort(ids.begin(), ids.end());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      std::vector<ObjectId> ids;
+      ref.mrq_dists.push_back(
+          index->RangeQuery(queries[i], radii[i], &ids).dist_computations);
+      ref.mrq.push_back(sorted(ids));
+      std::vector<Neighbor> nn;
+      ref.knn_dists.push_back(
+          index->KnnQuery(queries[i], ks[i], &nn).dist_computations);
+      ref.knn.push_back(profile(nn));
     }
-    std::vector<std::vector<Neighbor>> nn;
-    index->KnnQueryBatchShared(queries, ks, &nn);
-    for (const std::vector<Neighbor>& q : nn) {
-      std::vector<double> profile;
-      for (const Neighbor& x : q) profile.push_back(x.dist);
-      ref.knn.push_back(std::move(profile));
-    }
-    return ref;
-  };
-  const Reference cpt_ref = record(cpt.get());
-  const Reference spb_ref = record(spb.get());
-  ASSERT_FALSE(cpt_ref.mrq.empty());
+    ASSERT_FALSE(ref.mrq[0].empty()) << index->name();
+    refs.push_back(std::move(ref));
+  }
 
   std::atomic<bool> stop_poller{false};
   std::thread poller([&] {
@@ -546,34 +562,47 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
     }
   });
 
-  const uint32_t kItersPerThread = 10;
+  const uint32_t kItersPerThread = 12;
   std::vector<std::thread> threads;
   for (uint32_t t = 0; t < ReaderThreads(); ++t) {
     threads.emplace_back([&, t] {
-      MetricIndex* index = (t % 2 == 0) ? cpt.get() : spb.get();
-      const Reference& ref = (t % 2 == 0) ? cpt_ref : spb_ref;
       for (uint32_t iter = 0; iter < kItersPerThread; ++iter) {
+        const MetricIndex& index = *indexes[iter % indexes.size()];
+        const Reference& ref = refs[iter % indexes.size()];
+        const std::string where =
+            index.name() + " thread " + std::to_string(t) + " iter " +
+            std::to_string(iter) + " query ";
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          std::vector<ObjectId> ids;
+          OpStats st = index.RangeQuery(queries[qi], radii[qi], &ids);
+          ASSERT_EQ(sorted(ids), ref.mrq[qi]) << where << qi;
+          ASSERT_EQ(st.dist_computations, ref.mrq_dists[qi]) << where << qi;
+          std::vector<Neighbor> nn;
+          st = index.KnnQuery(queries[qi], ks[qi], &nn);
+          ASSERT_EQ(profile(nn), ref.knn[qi]) << where << qi;
+          ASSERT_EQ(st.dist_computations, ref.knn_dists[qi]) << where << qi;
+        }
         std::vector<std::vector<ObjectId>> mrq;
-        index->RangeQueryBatchShared(queries, radii, &mrq);
-        ASSERT_EQ(mrq.size(), ref.mrq.size());
-        for (size_t qi = 0; qi < mrq.size(); ++qi) {
-          std::sort(mrq[qi].begin(), mrq[qi].end());
-          ASSERT_EQ(mrq[qi], ref.mrq[qi])
-              << index->name() << " thread " << t << " iter " << iter
-              << " query " << qi;
+        std::vector<OpStats> per_query;
+        OpStats total = index.RangeQueryBatch(queries, radii, &mrq, &per_query);
+        uint64_t want = 0;
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          ASSERT_EQ(sorted(mrq[qi]), ref.mrq[qi]) << where << qi;
+          ASSERT_EQ(per_query[qi].dist_computations, ref.mrq_dists[qi])
+              << where << qi;
+          want += ref.mrq_dists[qi];
         }
-        std::vector<std::vector<Neighbor>> nn;
-        index->KnnQueryBatchShared(queries, ks, &nn);
-        ASSERT_EQ(nn.size(), ref.knn.size());
-        for (size_t qi = 0; qi < nn.size(); ++qi) {
-          ASSERT_EQ(nn[qi].size(), ref.knn[qi].size());
-          for (size_t j = 0; j < nn[qi].size(); ++j) {
-            ASSERT_EQ(nn[qi][j].dist, ref.knn[qi][j])
-                << index->name() << " thread " << t << " iter " << iter
-                << " query " << qi << " rank " << j;
-          }
+        ASSERT_EQ(total.dist_computations, want) << where << "batch";
+        std::vector<std::vector<Neighbor>> knn;
+        total = index.KnnQueryBatch(queries, ks, &knn, &per_query);
+        want = 0;
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          ASSERT_EQ(profile(knn[qi]), ref.knn[qi]) << where << qi;
+          ASSERT_EQ(per_query[qi].dist_computations, ref.knn_dists[qi])
+              << where << qi;
+          want += ref.knn_dists[qi];
         }
-        if (::testing::Test::HasFatalFailure()) return;
+        ASSERT_EQ(total.dist_computations, want) << where << "batch";
       }
     });
   }

@@ -230,8 +230,8 @@ void ReplayAndCheck(MetricIndex* index, const Script& script,
 
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> out;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (SimdLevelSupported(level)) out.push_back(level);
   }
   return out;

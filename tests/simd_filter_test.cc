@@ -38,8 +38,8 @@ namespace {
 
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> out;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (SimdLevelSupported(level)) out.push_back(level);
   }
   return out;
@@ -406,7 +406,7 @@ TEST(SimdFilterTest, BlockMajorScanTileBoundaryWithUniformRadius) {
   t.l = 2;
   t.table.Reset(2);
   const double row[2] = {x, q0};  // slot 1 always inside
-  t.rows.insert(t.rows.end(), row, row + 2);
+  t.rows = {x, q0};
   t.table.AppendRow(row);
   // Tile 1 slots: zero-magnitude queries (narrowest conservative
   // radii); the final tile's queries are the boundary-sensitive ones

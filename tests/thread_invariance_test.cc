@@ -246,8 +246,8 @@ TEST_F(ThreadInvarianceTest, ResultsInvariantAcrossSimdLevelsAndThreads) {
   std::vector<std::vector<std::vector<ObjectId>>> mrq;
   std::vector<std::vector<std::vector<Neighbor>>> knn;
   std::vector<uint64_t> compdists;
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kNeon,
-                          SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (!SimdLevelSupported(level)) continue;
     ASSERT_EQ(setenv("PMI_SIMD", SimdLevelName(level), 1), 0);
     ReinitSimdDispatch();
