@@ -466,8 +466,8 @@ TEST(ConcurrentCloseTest, CloseRacesInFlightQueries) {
 // queries never write the index they run on.  Two disk indexes (CPT,
 // SPB-tree) share one deliberately tiny BufferPool next to LAESA
 // (block-major batches) and MVPT (query-major batches); N reader threads
-// walk the four instances in step, mixing single and batch MRQ/MkNNQ on
-// each, while a poller thread reads pool stats the whole time.  Pinned
+// alternate between them, mixing single and batch MRQ/MkNNQ on each,
+// while a poller thread reads pool stats the whole time.  Pinned
 // handles must keep every in-flight page alive through the constant
 // cross-index eviction churn, every answer and every per-call compdists
 // must equal the serial one-query-at-a-time reference, and the run must
@@ -567,42 +567,50 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
   for (uint32_t t = 0; t < ReaderThreads(); ++t) {
     threads.emplace_back([&, t] {
       for (uint32_t iter = 0; iter < kItersPerThread; ++iter) {
-        const MetricIndex& index = *indexes[iter % indexes.size()];
-        const Reference& ref = refs[iter % indexes.size()];
-        const std::string where =
-            index.name() + " thread " + std::to_string(t) + " iter " +
-            std::to_string(iter) + " query ";
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          std::vector<ObjectId> ids;
-          OpStats st = index.RangeQuery(queries[qi], radii[qi], &ids);
-          ASSERT_EQ(sorted(ids), ref.mrq[qi]) << where << qi;
-          ASSERT_EQ(st.dist_computations, ref.mrq_dists[qi]) << where << qi;
-          std::vector<Neighbor> nn;
-          st = index.KnnQuery(queries[qi], ks[qi], &nn);
-          ASSERT_EQ(profile(nn), ref.knn[qi]) << where << qi;
-          ASSERT_EQ(st.dist_computations, ref.knn_dists[qi]) << where << qi;
+        // Each iteration takes one disk index, then one in-memory index,
+        // offset by thread parity: with two or more readers CPT and
+        // SPB-tree are always queried at once (cross-index pinned
+        // eviction), and every thread still visits all four instances.
+        const size_t parity = (t + iter) % 2;
+        for (size_t which : {parity, 2 + parity}) {
+          const MetricIndex& index = *indexes[which];
+          const Reference& ref = refs[which];
+          const std::string where =
+              index.name() + " thread " + std::to_string(t) + " iter " +
+              std::to_string(iter) + " query ";
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            std::vector<ObjectId> ids;
+            OpStats st = index.RangeQuery(queries[qi], radii[qi], &ids);
+            ASSERT_EQ(sorted(ids), ref.mrq[qi]) << where << qi;
+            ASSERT_EQ(st.dist_computations, ref.mrq_dists[qi]) << where << qi;
+            std::vector<Neighbor> nn;
+            st = index.KnnQuery(queries[qi], ks[qi], &nn);
+            ASSERT_EQ(profile(nn), ref.knn[qi]) << where << qi;
+            ASSERT_EQ(st.dist_computations, ref.knn_dists[qi]) << where << qi;
+          }
+          std::vector<std::vector<ObjectId>> mrq;
+          std::vector<OpStats> per_query;
+          OpStats total =
+              index.RangeQueryBatch(queries, radii, &mrq, &per_query);
+          uint64_t want = 0;
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            ASSERT_EQ(sorted(mrq[qi]), ref.mrq[qi]) << where << qi;
+            ASSERT_EQ(per_query[qi].dist_computations, ref.mrq_dists[qi])
+                << where << qi;
+            want += ref.mrq_dists[qi];
+          }
+          ASSERT_EQ(total.dist_computations, want) << where << "batch";
+          std::vector<std::vector<Neighbor>> knn;
+          total = index.KnnQueryBatch(queries, ks, &knn, &per_query);
+          want = 0;
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            ASSERT_EQ(profile(knn[qi]), ref.knn[qi]) << where << qi;
+            ASSERT_EQ(per_query[qi].dist_computations, ref.knn_dists[qi])
+                << where << qi;
+            want += ref.knn_dists[qi];
+          }
+          ASSERT_EQ(total.dist_computations, want) << where << "batch";
         }
-        std::vector<std::vector<ObjectId>> mrq;
-        std::vector<OpStats> per_query;
-        OpStats total = index.RangeQueryBatch(queries, radii, &mrq, &per_query);
-        uint64_t want = 0;
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          ASSERT_EQ(sorted(mrq[qi]), ref.mrq[qi]) << where << qi;
-          ASSERT_EQ(per_query[qi].dist_computations, ref.mrq_dists[qi])
-              << where << qi;
-          want += ref.mrq_dists[qi];
-        }
-        ASSERT_EQ(total.dist_computations, want) << where << "batch";
-        std::vector<std::vector<Neighbor>> knn;
-        total = index.KnnQueryBatch(queries, ks, &knn, &per_query);
-        want = 0;
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          ASSERT_EQ(profile(knn[qi]), ref.knn[qi]) << where << qi;
-          ASSERT_EQ(per_query[qi].dist_computations, ref.knn_dists[qi])
-              << where << qi;
-          want += ref.knn_dists[qi];
-        }
-        ASSERT_EQ(total.dist_computations, want) << where << "batch";
       }
     });
   }
