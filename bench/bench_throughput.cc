@@ -12,12 +12,13 @@
 // speedup depends on the hardware (a single-core container measures ~1x
 // by construction) and is reported, not asserted.
 //
-// A second section, batch_blocking, pits the frozen query-major path
-// (BatchMode::kQueryMajor) against the block-major batch engine across
+// A second section, batch_blocking, pits N single RangeQuery/KnnQuery
+// calls (query-major: each is a batch of one, streaming the whole
+// pivot table per query) against one block-major batch of N, across
 // batch sizes {1, 8, 64, 256} on LAESA and EPT*, single-threaded so the
 // measured ratio is pure cache blocking.  Before timing, it asserts the
 // engine's exactness contract: per-query results AND per-query
-// compdists must be bit-identical between the two modes.  The
+// compdists must be bit-identical between the two forms.  The
 // acceptance target is >= 1.3x MRQ/kNN QPS at batch >= 64.
 //
 // A third section, concurrent_mixed, measures the epoch-versioned
@@ -92,6 +93,7 @@
 #include "src/core/counters.h"
 #include "src/core/pivot_selection.h"
 #include "src/core/rng.h"
+#include "src/core/simd.h"
 #include "src/core/thread_pool.h"
 #include "src/data/distribution.h"
 #include "src/data/generators.h"
@@ -221,13 +223,44 @@ SweepPoint RunAtThreads(MakeIndexFn&& make_index, const BenchDataset& bd,
   return p;
 }
 
-/// One batch_blocking measurement: query-major vs block-major for one
-/// (index, batch size) cell, single-threaded.
+/// One batch_blocking measurement: N single queries (query-major) vs one
+/// block-major batch of N for one (index, batch size) cell,
+/// single-threaded.
 struct BlockingPoint {
-  double mrq_qm_ms = 0, mrq_bm_ms = 0;  // query-major / block-major
+  double mrq_qm_ms = 0, mrq_bm_ms = 0;  // N single queries / one batch
   double knn_qm_ms = 0, knn_bm_ms = 0;
   bool match = true;  // results + per-query compdists identical
 };
+
+/// N single MRQs, one RangeQuery call each; per-query stats in
+/// `per_query`, wall clock of the whole loop returned in seconds.
+double RangeSingles(const MetricIndex& index,
+                    const std::vector<ObjectView>& queries,
+                    const std::vector<double>& radii,
+                    std::vector<std::vector<ObjectId>>* out,
+                    std::vector<OpStats>* per_query) {
+  out->resize(queries.size());
+  per_query->resize(queries.size());
+  Stopwatch watch;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    (*per_query)[i] = index.RangeQuery(queries[i], radii[i], &(*out)[i]);
+  }
+  return watch.Seconds();
+}
+
+double KnnSingles(const MetricIndex& index,
+                  const std::vector<ObjectView>& queries,
+                  const std::vector<size_t>& ks,
+                  std::vector<std::vector<Neighbor>>* out,
+                  std::vector<OpStats>* per_query) {
+  out->resize(queries.size());
+  per_query->resize(queries.size());
+  Stopwatch watch;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    (*per_query)[i] = index.KnnQuery(queries[i], ks[i], &(*out)[i]);
+  }
+  return watch.Seconds();
+}
 
 bool SameResults(const std::vector<std::vector<ObjectId>>& a,
                  const std::vector<std::vector<ObjectId>>& b) {
@@ -268,33 +301,28 @@ BlockingPoint RunBlockingPoint(MetricIndex* index,
   const std::vector<double> radii(queries.size(), r);
   const std::vector<size_t> ks(queries.size(), k);
 
-  // Equivalence first: the two modes must agree on results and
+  // Equivalence first: the two forms must agree on results and
   // per-query compdists before their timings mean anything.
   std::vector<std::vector<ObjectId>> mrq_qm, mrq_bm;
   std::vector<std::vector<Neighbor>> knn_qm, knn_bm;
   std::vector<OpStats> pq_qm, pq_bm;
-  index->RangeQueryBatch(queries, radii, &mrq_qm, &pq_qm,
-                         BatchMode::kQueryMajor);
-  index->RangeQueryBatch(queries, radii, &mrq_bm, &pq_bm, BatchMode::kAuto);
+  RangeSingles(*index, queries, radii, &mrq_qm, &pq_qm);
+  index->RangeQueryBatch(queries, radii, &mrq_bm, &pq_bm);
   p.match = SameResults(mrq_qm, mrq_bm) && SamePerQuery(pq_qm, pq_bm);
-  index->KnnQueryBatch(queries, ks, &knn_qm, &pq_qm, BatchMode::kQueryMajor);
-  index->KnnQueryBatch(queries, ks, &knn_bm, &pq_bm, BatchMode::kAuto);
+  KnnSingles(*index, queries, ks, &knn_qm, &pq_qm);
+  index->KnnQueryBatch(queries, ks, &knn_bm, &pq_bm);
   p.match = p.match && SameResults(knn_qm, knn_bm) && SamePerQuery(pq_qm, pq_bm);
 
   double best_mrq_qm = 1e300, best_mrq_bm = 1e300;
   double best_knn_qm = 1e300, best_knn_bm = 1e300;
   for (uint32_t rep = 0; rep < repeats; ++rep) {
     best_mrq_qm = std::min(
-        best_mrq_qm, index->RangeQueryBatch(queries, radii, &mrq_qm, nullptr,
-                                            BatchMode::kQueryMajor)
-                         .seconds);
+        best_mrq_qm, RangeSingles(*index, queries, radii, &mrq_qm, &pq_qm));
     best_mrq_bm = std::min(
         best_mrq_bm,
         index->RangeQueryBatch(queries, radii, &mrq_bm).seconds);
-    best_knn_qm = std::min(
-        best_knn_qm, index->KnnQueryBatch(queries, ks, &knn_qm, nullptr,
-                                          BatchMode::kQueryMajor)
-                         .seconds);
+    best_knn_qm = std::min(best_knn_qm,
+                           KnnSingles(*index, queries, ks, &knn_qm, &pq_qm));
     best_knn_bm = std::min(best_knn_bm,
                            index->KnnQueryBatch(queries, ks, &knn_bm).seconds);
   }
@@ -423,7 +451,7 @@ int main(int argc, char** argv) {
                    knn_speedup);
     }
   }
-  // ---- batch_blocking: query-major (frozen) vs block-major ----------------
+  // ---- batch_blocking: N single queries vs one block-major batch ---------
   // Single-threaded on its own, larger dataset: the pivot table must
   // overflow the cache hierarchy levels that a per-query re-stream can
   // hide in before the block-major win is measurable.
@@ -1114,7 +1142,8 @@ int main(int argc, char** argv) {
       trailer, sizeof(trailer),
       "  \"config\": {\"dataset\": \"Synthetic\", \"dim\": 20, \"n\": %u, "
       "\"queries\": %u, \"repeats\": %u, \"max_threads\": %u, "
-      "\"hardware_threads\": %u, \"batch_blocking_n\": %u},\n"
+      "\"hardware_threads\": %u, \"batch_blocking_n\": %u, "
+      "\"simd\": \"%s\"},\n"
       "  \"checks\": {\"results_match\": %s, \"compdists_match\": %s, "
       "\"batch_speedup_threads\": %u, \"batch_speedup\": %.3f, "
       "\"batch_blocking_match\": %s, "
@@ -1128,7 +1157,8 @@ int main(int argc, char** argv) {
       "\"pool_match\": %s, \"pool_warm_zero_reads\": %s}",
       n, num_queries, repeats, max_threads,
       std::thread::hardware_concurrency(), batch_n,
-      results_match ? "true" : "false", compdists_match ? "true" : "false",
+      SimdLevelName(SimdLevelInUse()), results_match ? "true" : "false",
+      compdists_match ? "true" : "false",
       tracked_threads, tracked_speedup, blocking_match ? "true" : "false",
       blocking_speedup, concurrent_reads_ok ? "true" : "false",
       sharded_equiv_match ? "true" : "false",

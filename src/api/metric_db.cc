@@ -433,6 +433,15 @@ StatusOr<MetricDB> MetricDB::Create(const MetricDBConfig& config,
   return db;
 }
 
+bool MetricDB::alive(ObjectId id) const {
+  if (cc_->table != nullptr) {
+    VersionedTable::ReadPin pin = cc_->table->Pin();
+    return id < pin->live.size() && pin->live[id] != 0;
+  }
+  std::lock_guard<std::mutex> lock(cc_->writer_mu);
+  return id < live_.size() && live_[id] != 0;
+}
+
 bool MetricDB::versioned() const {
   return cc_ != nullptr && cc_->table != nullptr;
 }
@@ -448,7 +457,7 @@ void MetricDB::InitVersioning() {
   v->pivots = pivots_;
   v->index = index_;
   v->live = live_;
-  v->sequence = seq_;
+  v->sequence = seq();
   cc_->table = std::make_unique<VersionedTable>(std::move(v));
 }
 
@@ -657,7 +666,7 @@ Status MetricDB::SaveTo(const std::string& path, Env* env) const {
     std::shared_ptr<const TableVersion> v = cc_->table->Acquire();
     return SaveStateTo(*v->index, v->live, v->sequence, path, env);
   }
-  return SaveStateTo(*index_, live_, seq_, path, env);
+  return SaveStateTo(*index_, live_, seq(), path, env);
 }
 
 Status MetricDB::Save(const std::string& path) const {
@@ -717,7 +726,9 @@ StatusOr<MetricDB> MetricDB::FromPayload(const std::string& payload) {
   // Update-history tail: optional for backward compatibility (snapshots
   // written before updates existed simply end after the state block).
   if (!in.exhausted()) {
-    PMI_RETURN_IF_ERROR(in.GetU64(&db.seq_));
+    uint64_t seq = 0;
+    PMI_RETURN_IF_ERROR(in.GetU64(&seq));
+    db.cc_->seq.store(seq);
     PMI_RETURN_IF_ERROR(in.GetVector(&db.live_));
     if (db.live_.size() != db.data_->size()) {
       return DataLossError(
@@ -759,7 +770,15 @@ void MetricDB::ApplyToIndex(const UpdateOp& op) {
     index_->Remove(op.id);
     live_[op.id] = 0;
   }
-  ++seq_;
+  cc_->seq.store(seq() + 1);
+}
+
+Status MetricDB::SetWriteFault(Status fault) {
+  if (!cc_->write_faulted.load()) {
+    write_status_ = fault;
+    cc_->write_faulted.store(true);
+  }
+  return fault;
 }
 
 namespace {
@@ -793,8 +812,8 @@ Status MetricDB::Apply(const std::vector<UpdateOp>& ops,
   // batch whose first attempt actually reached the WAL and was replayed
   // by recovery), and committing here could double-apply it.
   if (aopts.expected_sequence.has_value() &&
-      *aopts.expected_sequence != seq_) {
-    return SequenceFenceError(seq_, *aopts.expected_sequence);
+      *aopts.expected_sequence != seq()) {
+    return SequenceFenceError(seq(), *aopts.expected_sequence);
   }
   // Validate the whole batch against the would-be state before logging
   // anything: Apply is all-or-nothing, and nothing may reach the WAL
@@ -820,14 +839,13 @@ Status MetricDB::Apply(const std::vector<UpdateOp>& ops,
   }
   if (wal_ != nullptr) {
     for (size_t i = 0; i < ops.size(); ++i) {
-      wal_->Add(WalRecord{ops[i].op, seq_ + i + 1, ops[i].id});
+      wal_->Add(WalRecord{ops[i].op, seq() + i + 1, ops[i].id});
     }
     Status logged = wal_->Commit();
     if (!logged.ok()) {
       // The log tail is now suspect: applying would acknowledge an
       // unrecoverable write.  Refuse this batch and go read-only.
-      write_status_ = logged;
-      return logged;
+      return SetWriteFault(logged);
     }
   }
   if (cc_->table != nullptr) {
@@ -844,17 +862,18 @@ Status MetricDB::Apply(const std::vector<UpdateOp>& ops,
         clone->Remove(op.id);
         live_[op.id] = 0;
       }
-      ++seq_;
     }
+    const uint64_t seq_after = seq() + ops.size();
     auto v = std::make_shared<TableVersion>();
     v->data = data_;
     v->metric = metric_;
     v->pivots = pivots_;
     v->index = clone;
     v->live = live_;
-    v->sequence = seq_;
+    v->sequence = seq_after;
     index_ = std::move(clone);
     cc_->table->Publish(std::move(v));
+    cc_->seq.store(seq_after);
   } else {
     for (const UpdateOp& op : ops) ApplyToIndex(op);
   }
@@ -916,7 +935,7 @@ Status MetricDB::Checkpoint() {
       // A half-rotated directory is ambiguous (e.g. the new checkpoint
       // landed but its WAL did not): acknowledging more writes could
       // put them in a generation recovery never replays.  Go read-only.
-      write_status_ = rotated;
+      SetWriteFault(rotated);
     }
     return rotated;
   }
@@ -939,22 +958,13 @@ Status MetricDB::Checkpoint() {
     // replay cannot detect once wal-(next) continues past it.
     if (wal_ != nullptr) {
       Status synced = wal_->Sync();
-      if (!synced.ok()) {
-        write_status_ = synced;
-        return synced;
-      }
+      if (!synced.ok()) return SetWriteFault(synced);
     }
     StatusOr<std::unique_ptr<WritableFile>> wal_file =
         env_->NewWritableFile(JoinPath(dir_, WalName(next)));
-    if (!wal_file.ok()) {
-      write_status_ = wal_file.status();
-      return write_status_;
-    }
+    if (!wal_file.ok()) return SetWriteFault(wal_file.status());
     Status dir_synced = env_->SyncDir(dir_);
-    if (!dir_synced.ok()) {
-      write_status_ = dir_synced;
-      return dir_synced;
-    }
+    if (!dir_synced.ok()) return SetWriteFault(dir_synced);
     wal_ = std::make_unique<WalWriter>(std::move(*wal_file), dopts_.sync_mode,
                                        dopts_.sync_interval_commits);
   }
@@ -969,8 +979,7 @@ Status MetricDB::Checkpoint() {
     // The directory is still recoverable (old checkpoint + unbroken WAL
     // chain), but a failed snapshot write says the disk is unwell:
     // stop acknowledging updates.
-    write_status_ = saved;
-    return saved;
+    return SetWriteFault(saved);
   }
   checkpoint_gen_ = next;
   // Retention window as in RotateCheckpoint: the new generation plus
@@ -1035,7 +1044,7 @@ Status MetricDB::ReplayWalGenerations(Env* env, const std::string& dir,
     }
     PMI_ASSIGN_OR_RETURN(
         WalReplay replay,
-        ReadWalFile(env, JoinPath(dir, WalName(gen)), seq_ + 1));
+        ReadWalFile(env, JoinPath(dir, WalName(gen)), seq() + 1));
     for (const WalRecord& record : replay.records) {
       if (record.id >= live_.size()) {
         return DataLossError("WAL record names object " +

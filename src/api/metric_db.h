@@ -351,19 +351,26 @@ class MetricDB {
 
   /// Sequence number of the last applied update (0 = none yet).  After
   /// OpenDurable this is exactly the prefix of update history the
-  /// recovered state contains.  Writer-side view: under concurrent
-  /// updates, read it from the writer thread or from a ReadView.
-  uint64_t last_sequence() const { return seq_; }
+  /// recovered state contains.  Safe to call from any thread at any
+  /// time, without waiting for a concurrent Apply.
+  uint64_t last_sequence() const {
+    return cc_->seq.load();
+  }
 
   /// Liveness of dataset object `id` under the applied update history.
-  /// Writer-side view, like last_sequence().
-  bool alive(ObjectId id) const {
-    return id < live_.size() && live_[id] != 0;
-  }
+  /// Safe to call concurrently with Apply: an epoch-versioned database
+  /// answers from the published version; the legacy mode takes the
+  /// writer lock, as its queries do.
+  bool alive(ObjectId id) const;
 
   /// Non-OK once a write-path I/O fault put the database in read-only
   /// mode (queries still work; updates are refused with this status).
-  const Status& write_status() const { return write_status_; }
+  /// Sticky: the first fault is kept.  Safe to call from any thread.
+  Status write_status() const {
+    return cc_->write_faulted.load()
+               ? write_status_
+               : OkStatus();
+  }
 
   /// Answers `request`; batches fan out across the thread pool when the
   /// index supports concurrent queries.  On an epoch-versioned database
@@ -487,6 +494,14 @@ class MetricDB {
   /// Writes ckpt-(gen+1), opens wal-(gen+1), prunes generation gen-1.
   Status RotateCheckpoint();
 
+  /// Puts the database in read-only mode with `fault` (non-OK) unless an
+  /// earlier fault already did, and returns `fault`.  Writer-side: call
+  /// under writer_mu.
+  Status SetWriteFault(Status fault);
+
+  /// cc_->seq, for the writer's own reads.
+  uint64_t seq() const { return cc_->seq.load(); }
+
   MetricDBConfig config_;
   // Metric parameters as actually instantiated (param derived from the
   // data when config_.metric_param == 0); persisted so Open rebuilds the
@@ -521,6 +536,14 @@ class MetricDB {
     std::unique_ptr<VersionedTable> table;
     /// Flipped by Close(); checked (acquire) at every entry point.
     std::atomic<bool> closed{false};
+    /// Sequence number of the last applied update.  Written only by the
+    /// writer (under writer_mu, or single-threaded while opening); read
+    /// lock-free by last_sequence().
+    std::atomic<uint64_t> seq{0};
+    /// Set once write_status_ holds the first write fault;
+    /// write_status_ never changes after that, so readers that see the
+    /// flag read it race-free.
+    std::atomic<bool> write_faulted{false};
     /// Held kernel advisory lock on dir_'s LOCK file; null when this
     /// instance does not own the directory.
     std::unique_ptr<FileLock> dir_lock;
@@ -528,11 +551,12 @@ class MetricDB {
   std::unique_ptr<Concurrency> cc_ = std::make_unique<Concurrency>();
 
   // -- update/durability state --------------------------------------------
-  // live_ mirrors the index's membership (1 = present); seq_ numbers the
-  // applied update history.  Maintained on every database; persisted in
-  // the snapshot payload tail so recovery can validate WAL replay.
+  // live_ mirrors the index's membership (1 = present); cc_->seq numbers
+  // the applied update history.  Maintained on every database; persisted
+  // in the snapshot payload tail so recovery can validate WAL replay.
   std::vector<uint8_t> live_;
-  uint64_t seq_ = 0;
+  /// The first write-path fault (see write_status()); written once, under
+  /// writer_mu, by SetWriteFault.
   Status write_status_;
 
   // Durable databases only.

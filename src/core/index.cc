@@ -32,38 +32,27 @@ void CheckBatchSizes(size_t queries, size_t thresholds, const char* what) {
   }
 }
 
-// The batch engine of both query kinds.  Tries block_major(shards) when
-// `try_block_major` is set; when that is off or declines, runs query(i)
-// for every i over query chunks on the global pool, each query under a
-// CounterScope over a stack-local shard stored into shards[i] once
-// (adjacent elements share cache lines across chunk boundaries, and a
-// per-distance increment there would ping-pong the line between
-// workers).  Attribution is per query, hence exact at any thread count.
-// Returns the shards' sum plus anything charged on the calling thread
-// outside them; the index itself is never written.  Per-query `seconds`
-// stay 0: per-query wall time is not well defined once queries
-// interleave block by block, and the bit-identical contract between
-// execution modes could never hold for a timing anyway.
-template <typename BlockMajor, typename Query>
-PerfCounters RunBatch(size_t count, bool try_block_major,
-                      std::vector<OpStats>* per_query,
-                      BlockMajor&& block_major, Query&& query) {
+// One empty result buffer per query; buffers the caller passes in keep
+// their capacity.
+template <typename T>
+void ClearOutputs(size_t count, std::vector<std::vector<T>>* out) {
+  out->resize(count);
+  for (std::vector<T>& v : *out) v.clear();
+}
+
+// The batch entry point of both query kinds: runs batch(shards) with
+// one PerfCounters shard per query and returns the shards' sum plus
+// anything charged on the calling thread outside them; the index itself
+// is never written.  Per-query `seconds` stay 0: per-query wall time is
+// not well defined once queries interleave block by block.
+template <typename Batch>
+PerfCounters RunBatch(size_t count, std::vector<OpStats>* per_query,
+                      Batch&& batch) {
   std::vector<PerfCounters> shards(count);
   PerfCounters total;
-  {
+  if (count > 0) {
     CounterScope scope(&total);
-    if (!(try_block_major && count > 0 && block_major(shards.data()))) {
-      ParallelQueryChunks(count, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          PerfCounters local;
-          {
-            CounterScope query_scope(&local);
-            query(i);
-          }
-          shards[i] += local;
-        }
-      });
-    }
+    batch(shards.data());
   }
   if (per_query != nullptr) per_query->resize(count);
   for (size_t i = 0; i < count; ++i) {
@@ -73,42 +62,108 @@ PerfCounters RunBatch(size_t count, bool try_block_major,
   return total;
 }
 
+// The default batch hooks: query(i) for every i over query chunks on the
+// global pool, each query under a CounterScope over a stack-local
+// counter stored into shards[i] once (adjacent elements share cache
+// lines across chunk boundaries, and a per-distance increment there
+// would ping-pong the line between workers).  Attribution is per query,
+// hence exact at any thread count.
+template <typename Query>
+void QueryMajor(size_t count, PerfCounters* shards, Query&& query) {
+  ParallelQueryChunks(count, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      PerfCounters local;
+      {
+        CounterScope query_scope(&local);
+        query(i);
+      }
+      shards[i] += local;
+    }
+  });
+}
+
+[[noreturn]] void MissingQueryHook(const MetricIndex& index,
+                                   const char* hook) {
+  std::fprintf(stderr,
+               "MetricIndex %s overrides neither %s nor its batch hook\n",
+               index.name().c_str(), hook);
+  std::abort();
+}
+
 }  // namespace
+
+// A single query is a batch of one.  The caller's buffer is swapped in
+// and back out, so its capacity carries over between calls.
+OpStats MetricIndex::RangeQuery(const ObjectView& q, double r,
+                                std::vector<ObjectId>* out) const {
+  std::vector<std::vector<ObjectId>> outs(1);
+  outs[0].swap(*out);
+  const OpStats stats = RangeQueryBatch({q}, {r}, &outs);
+  out->swap(outs[0]);
+  return stats;
+}
+
+OpStats MetricIndex::KnnQuery(const ObjectView& q, size_t k,
+                              std::vector<Neighbor>* out) const {
+  std::vector<std::vector<Neighbor>> outs(1);
+  outs[0].swap(*out);
+  const OpStats stats = KnnQueryBatch({q}, {k}, &outs);
+  out->swap(outs[0]);
+  return stats;
+}
 
 OpStats MetricIndex::RangeQueryBatch(const std::vector<ObjectView>& queries,
                                      const std::vector<double>& radii,
                                      std::vector<std::vector<ObjectId>>* out,
-                                     std::vector<OpStats>* per_query,
-                                     BatchMode mode) const {
+                                     std::vector<OpStats>* per_query) const {
   CheckBatchSizes(queries.size(), radii.size(), "radii");
-  out->assign(queries.size(), {});
+  ClearOutputs(queries.size(), out);
   Stopwatch watch;
-  const PerfCounters total = RunBatch(
-      queries.size(), mode == BatchMode::kAuto && block_major_batches(),
-      per_query,
-      [&](PerfCounters* shards) {
-        return RangeBatchBlockImpl(queries, radii.data(), out, shards);
-      },
-      [&](size_t i) { RangeImpl(queries[i], radii[i], &(*out)[i]); });
+  const PerfCounters total =
+      RunBatch(queries.size(), per_query, [&](PerfCounters* shards) {
+        RangeBatchImpl(queries, radii.data(), out, shards);
+      });
   return OpStats::From(total, watch.Seconds());
 }
 
 OpStats MetricIndex::KnnQueryBatch(const std::vector<ObjectView>& queries,
                                    const std::vector<size_t>& ks,
                                    std::vector<std::vector<Neighbor>>* out,
-                                   std::vector<OpStats>* per_query,
-                                   BatchMode mode) const {
+                                   std::vector<OpStats>* per_query) const {
   CheckBatchSizes(queries.size(), ks.size(), "neighbor counts");
-  out->assign(queries.size(), {});
+  ClearOutputs(queries.size(), out);
   Stopwatch watch;
-  const PerfCounters total = RunBatch(
-      queries.size(), mode == BatchMode::kAuto && block_major_batches(),
-      per_query,
-      [&](PerfCounters* shards) {
-        return KnnBatchBlockImpl(queries, ks.data(), out, shards);
-      },
-      [&](size_t i) { KnnImpl(queries[i], ks[i], &(*out)[i]); });
+  const PerfCounters total =
+      RunBatch(queries.size(), per_query, [&](PerfCounters* shards) {
+        KnnBatchImpl(queries, ks.data(), out, shards);
+      });
   return OpStats::From(total, watch.Seconds());
+}
+
+void MetricIndex::RangeImpl(const ObjectView&, double,
+                            std::vector<ObjectId>*) const {
+  MissingQueryHook(*this, "RangeImpl");
+}
+
+void MetricIndex::KnnImpl(const ObjectView&, size_t,
+                          std::vector<Neighbor>*) const {
+  MissingQueryHook(*this, "KnnImpl");
+}
+
+void MetricIndex::RangeBatchImpl(const std::vector<ObjectView>& queries,
+                                 const double* radii,
+                                 std::vector<std::vector<ObjectId>>* out,
+                                 PerfCounters* per_query) const {
+  QueryMajor(queries.size(), per_query,
+             [&](size_t i) { RangeImpl(queries[i], radii[i], &(*out)[i]); });
+}
+
+void MetricIndex::KnnBatchImpl(const std::vector<ObjectView>& queries,
+                               const size_t* ks,
+                               std::vector<std::vector<Neighbor>>* out,
+                               PerfCounters* per_query) const {
+  QueryMajor(queries.size(), per_query,
+             [&](size_t i) { KnnImpl(queries[i], ks[i], &(*out)[i]); });
 }
 
 Status ValidateOptions(const IndexOptions& options) {

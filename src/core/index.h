@@ -30,7 +30,6 @@
 #include "src/core/object.h"
 #include "src/core/pivots.h"
 #include "src/core/serialize.h"
-#include "src/core/simd.h"
 #include "src/core/status.h"
 #include "src/storage/buffer_pool.h"
 
@@ -94,18 +93,6 @@ struct IndexOptions {
 /// layer.  The harness constructors stay unchecked by design -- experiment
 /// code uses the defaults.
 Status ValidateOptions(const IndexOptions& options);
-
-/// How a batch entry point executes its queries.
-enum class BatchMode : uint8_t {
-  /// Block-major (one pivot-table pass amortized over the whole batch)
-  /// when the index implements it, query-major otherwise.
-  kAuto = 0,
-  /// Force the query-major reference path: a loop of per-query *Impl
-  /// calls (parallelized over queries when allowed).  This is the frozen
-  /// baseline the batch-equivalence tests and bench_throughput's
-  /// batch_blocking section compare the block-major engine against.
-  kQueryMajor = 1,
-};
 
 /// Costs of one build / query / update operation.  page_reads/page_writes
 /// are the paper's logical PA; pool_hits/physical_reads/physical_writes
@@ -172,19 +159,16 @@ class MetricIndex {
     return Measure([&] { BuildImpl(); });
   }
 
-  /// MRQ(q, r): appends all ids o with d(q,o) <= r to `out` (unordered).
+  /// MRQ(q, r): all ids o with d(q,o) <= r, in `out` (unordered).  A
+  /// single query is a batch of one: it runs through RangeQueryBatch,
+  /// so one engine answers both forms.
   OpStats RangeQuery(const ObjectView& q, double r,
-                     std::vector<ObjectId>* out) const {
-    out->clear();
-    return MeasureQuery([&] { RangeImpl(q, r, out); });
-  }
+                     std::vector<ObjectId>* out) const;
 
-  /// MkNNQ(q, k): the k nearest objects, ascending by distance.
+  /// MkNNQ(q, k): the k nearest objects, ascending by distance.  A batch
+  /// of one, like RangeQuery.
   OpStats KnnQuery(const ObjectView& q, size_t k,
-                   std::vector<Neighbor>* out) const {
-    out->clear();
-    return MeasureQuery([&] { KnnImpl(q, k, out); });
-  }
+                   std::vector<Neighbor>* out) const;
 
   /// Deep-copies this index into an independent instance bound to the
   /// same (data, metric, pivots).  The clone answers queries identically
@@ -197,38 +181,30 @@ class MetricIndex {
   /// the facade keeps it on the serialized legacy path.
   virtual std::unique_ptr<MetricIndex> Clone() const { return nullptr; }
 
-  /// True when this index implements the block-major batch engine
-  /// (RangeBatchBlockImpl / KnnBatchBlockImpl): batch queries walk the
-  /// pivot table block by block with every query of the batch filtered
-  /// against each cache-resident column slab, instead of re-streaming
-  /// the table once per query.  Results, compdists, and per-query stats
-  /// are bit-identical to the query-major path by contract
-  /// (tests/batch_invariance_test.cc pins this).
-  virtual bool block_major_batches() const { return false; }
-
   /// Batch MRQ descriptor form: answers MRQ(queries[i], radii[i]) into
   /// (*out)[i] for every i -- per-query thresholds, so callers can mix
-  /// selectivities in one batch.  Executes block-major when `mode`
-  /// allows and the index supports it, otherwise runs the query-major
-  /// loop over query chunks on the global ThreadPool (inline when
-  /// another region holds the pool; see ParallelQueryChunks).  Per-query
-  /// result buffers are element-private and every distance computation
-  /// is counted into a per-query shard, so results, total compdists, and
-  /// the optional `per_query` stats are identical across execution
-  /// modes, thread counts, and SIMD dispatch levels.  Per-query stats
-  /// carry compdists; `seconds` is meaningful only on the batch total
-  /// (wall clock of the whole batch, the QPS denominator).  Page
-  /// accesses are attributed per query through the same CounterScope
-  /// routing as compdists (the disk indexes charge both levels via
-  /// CounterScope::Active), so batch totals equal the serial sums.  The
-  /// *order* in which concurrent queries touch a disk index's logical
-  /// LRU simulation depends on the thread schedule, so logical PA totals
-  /// are pinned only for serial execution; results never depend on it.
+  /// selectivities in one batch.  The table indexes (LAESA, EPT/EPT*,
+  /// CPT's MRQ) answer the whole batch in one block-major pass over
+  /// their pivot table; every other index runs its per-query hooks over
+  /// query chunks on the global ThreadPool (inline when another region
+  /// holds the pool; see ParallelQueryChunks).  Per-query result buffers
+  /// are element-private and every distance computation is counted into
+  /// a per-query shard, so results, total compdists, and the optional
+  /// `per_query` stats are identical across batch splits (a batch of N
+  /// equals N batches of one), thread counts, and SIMD dispatch levels.
+  /// Per-query stats carry compdists; `seconds` is meaningful only on
+  /// the batch total (wall clock of the whole batch, the QPS
+  /// denominator).  Page accesses are attributed per query through the
+  /// same CounterScope routing as compdists (the disk indexes charge
+  /// both levels via CounterScope::Active), so batch totals equal the
+  /// serial sums.  The *order* in which concurrent queries touch a disk
+  /// index's logical LRU simulation depends on the thread schedule, so
+  /// logical PA totals are pinned only for serial execution; results
+  /// never depend on it.
   OpStats RangeQueryBatch(const std::vector<ObjectView>& queries,
                           const std::vector<double>& radii,
                           std::vector<std::vector<ObjectId>>* out,
-                          std::vector<OpStats>* per_query = nullptr,
-                          BatchMode mode = BatchMode::kAuto) const;
+                          std::vector<OpStats>* per_query = nullptr) const;
 
   /// Former name of RangeQueryBatch, kept for existing callers.
   OpStats RangeQueryBatchShared(
@@ -245,13 +221,12 @@ class MetricIndex {
   }
 
   /// Batch MkNNQ descriptor form; same contract as RangeQueryBatch, with
-  /// per-query neighbor counts.  The block-major path re-enters each
+  /// per-query neighbor counts.  The block-major scans re-enter each
   /// block with every query's current (shrinking) heap radius.
   OpStats KnnQueryBatch(const std::vector<ObjectView>& queries,
                         const std::vector<size_t>& ks,
                         std::vector<std::vector<Neighbor>>* out,
-                        std::vector<OpStats>* per_query = nullptr,
-                        BatchMode mode = BatchMode::kAuto) const;
+                        std::vector<OpStats>* per_query = nullptr) const;
 
   /// Former name of KnnQueryBatch, kept for existing callers.
   OpStats KnnQueryBatchShared(const std::vector<ObjectView>& queries,
@@ -329,10 +304,33 @@ class MetricIndex {
   }
 
   virtual void BuildImpl() = 0;
+
+  /// Query hooks.  An index answers either one query at a time
+  /// (RangeImpl/KnnImpl; the default batch hooks below loop them over
+  /// the batch) or a whole batch at once (RangeBatchImpl/KnnBatchImpl;
+  /// the table indexes' block-major scans), and overrides one hook of
+  /// each pair.  Calling a per-query hook that is not overridden aborts.
   virtual void RangeImpl(const ObjectView& q, double r,
-                         std::vector<ObjectId>* out) const = 0;
+                         std::vector<ObjectId>* out) const;
   virtual void KnnImpl(const ObjectView& q, size_t k,
-                       std::vector<Neighbor>* out) const = 0;
+                       std::vector<Neighbor>* out) const;
+
+  /// Batch hooks.  `out` holds one empty buffer per query; `per_query`
+  /// points at one PerfCounters shard per query, and every distance
+  /// computation (and page access) must be counted into its query's
+  /// shard -- the entry point sums them into the batch total and derives
+  /// the per-query stats.  Query i's results (contents and order) and
+  /// shard must not depend on the rest of the batch.  The defaults run
+  /// RangeImpl/KnnImpl over query chunks on the global pool.
+  virtual void RangeBatchImpl(const std::vector<ObjectView>& queries,
+                              const double* radii,
+                              std::vector<std::vector<ObjectId>>* out,
+                              PerfCounters* per_query) const;
+  virtual void KnnBatchImpl(const std::vector<ObjectView>& queries,
+                            const size_t* ks,
+                            std::vector<std::vector<Neighbor>>* out,
+                            PerfCounters* per_query) const;
+
   virtual void InsertImpl(ObjectId id) = 0;
   virtual void RemoveImpl(ObjectId id) = 0;
 
@@ -346,36 +344,6 @@ class MetricIndex {
   virtual Status LoadImpl(ByteSource* in) {
     (void)in;
     return UnimplementedError(name() + " does not implement snapshots");
-  }
-
-  /// Block-major batch hooks.  An index that returns true from
-  /// block_major_batches() overrides these to answer the whole batch in
-  /// one block-major pass; returning false (the default) sends the batch
-  /// down the query-major loop.  `per_query` points at one PerfCounters
-  /// shard per query: every distance computation must be counted into
-  /// its query's shard (the entry point sums them into the batch total
-  /// and derives the per-query stats), and query i's results must be
-  /// bit-identical -- contents and order -- to what RangeImpl/KnnImpl
-  /// would produce for that query alone.
-  virtual bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                                   const double* radii,
-                                   std::vector<std::vector<ObjectId>>* out,
-                                   PerfCounters* per_query) const {
-    (void)queries;
-    (void)radii;
-    (void)out;
-    (void)per_query;
-    return false;
-  }
-  virtual bool KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                                 const size_t* ks,
-                                 std::vector<std::vector<Neighbor>>* out,
-                                 PerfCounters* per_query) const {
-    (void)queries;
-    (void)ks;
-    (void)out;
-    (void)per_query;
-    return false;
   }
 
   /// Counting distance computer bound to the innermost CounterScope on
@@ -408,39 +376,7 @@ class MetricIndex {
     fn();
     return OpStats::From(counters_ - before, watch.Seconds());
   }
-
-  /// Measures a query: every charge on this thread lands in a counter
-  /// local to the call, which becomes the returned cost.
-  template <typename Fn>
-  static OpStats MeasureQuery(Fn&& fn) {
-    PerfCounters local;
-    Stopwatch watch;
-    {
-      CounterScope scope(&local);
-      fn();
-    }
-    return OpStats::From(local, watch.Seconds());
-  }
 };
-
-/// Batched MRQ verification for the scan tables: walks the filter's
-/// compacted candidate rows with a fixed prefetch lookahead so the
-/// survivors' object payloads are in flight while BoundedDistance chews
-/// on the current one, appending ids whose distance is within `r`.
-inline void VerifyCandidatesWithPrefetch(
-    const std::vector<uint32_t>& candidates,
-    const std::vector<ObjectId>& oids, const Dataset& data,
-    const DistanceComputer& d, const ObjectView& q, double r,
-    std::vector<ObjectId>* out) {
-  constexpr size_t kLookahead = 8;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (i + kLookahead < candidates.size()) {
-      PrefetchRead(data.view(oids[candidates[i + kLookahead]]).payload_ptr());
-    }
-    const ObjectId id = oids[candidates[i]];
-    if (d.Bounded(q, data.view(id), r) <= r) out->push_back(id);
-  }
-}
 
 }  // namespace pmi
 

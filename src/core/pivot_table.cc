@@ -1,6 +1,7 @@
 #include "src/core/pivot_table.h"
 
 #include <cmath>
+#include <type_traits>
 
 namespace pmi {
 
@@ -85,7 +86,7 @@ size_t PivotTable::ContinueCascade(const FilterQuery& fq, size_t base,
   if (n == 0) return 0;
   const SimdOps& ops = *fq.ops;
   const TableBlock& blk = *blocks_[base / kScanBlock];
-  ExactSlot s;
+  ExactSlot s{};
   s.rd = fq.r_cached;
   uint32_t p = 1;
   for (; p < width_ && DenseEnough(ops.dense_divisor, n, count); ++p) {
@@ -112,7 +113,7 @@ size_t PivotTable::ContinueCascadeIndirect(const FilterQuery& fq,
   if (n == 0) return 0;
   const SimdOps& ops = *fq.ops;
   const TableBlock& blk = *blocks_[base / kScanBlock];
-  ExactSlotGather s;
+  ExactSlotGather s{};
   s.qf_pool = fq.qf.data();
   s.qd_pool = fq.qd;
   s.rw = fq.rw[0];
@@ -134,49 +135,7 @@ size_t PivotTable::ContinueCascadeIndirect(const FilterQuery& fq,
   return n;
 }
 
-size_t PivotTable::FilterBlock(const FilterQuery& fq, size_t base,
-                               size_t count, uint32_t* surv) const {
-  if (width_ == 0) {  // no pivots: nothing prunes
-    for (size_t i = 0; i < count; ++i) surv[i] = static_cast<uint32_t>(i);
-    return count;
-  }
-  const SimdOps& ops = *fq.ops;
-  const TableBlock& blk = *blocks_[base / kScanBlock];
-  uint8_t keep[kScanBlock];
-  ExactSlot s;
-  s.colf = ColF(blk, 0);
-  s.cold = ColD(blk, 0);
-  s.qf = fq.qf[0];
-  s.rw = fq.rw[0];
-  s.rn = fq.rn[0];
-  s.qd = fq.qd[0];
-  s.rd = fq.r_cached;
-  const size_t n = ops.mask_sweep(s, count, keep);
-  return ContinueCascade(fq, base, count, n, keep, surv);
-}
-
-size_t PivotTable::FilterBlockIndirect(const FilterQuery& fq, size_t base,
-                                       size_t count, uint32_t* surv) const {
-  if (width_ == 0) {
-    for (size_t i = 0; i < count; ++i) surv[i] = static_cast<uint32_t>(i);
-    return count;
-  }
-  const SimdOps& ops = *fq.ops;
-  const TableBlock& blk = *blocks_[base / kScanBlock];
-  uint8_t keep[kScanBlock];
-  ExactSlotGather s;
-  s.colf = ColF(blk, 0);
-  s.cold = ColD(blk, 0);
-  s.idx = ColI(blk, 0);
-  s.qf_pool = fq.qf.data();
-  s.qd_pool = fq.qd;
-  s.rw = fq.rw[0];
-  s.rn = fq.rn[0];
-  s.rd = fq.r_cached;
-  const size_t n = ops.mask_sweep_gather(s, count, keep);
-  return ContinueCascadeIndirect(fq, base, count, n, keep, surv);
-}
-
+template <bool kIndirect>
 void PivotTable::FilterBlockMulti(const FilterQuery* fqs, size_t nq,
                                   size_t base, size_t count, uint8_t* keep,
                                   uint32_t* surv, size_t* counts) const {
@@ -194,102 +153,52 @@ void PivotTable::FilterBlockMulti(const FilterQuery* fqs, size_t nq,
   // Stage 0: the pivot-0 sweep for every query, one kMultiQueryTile
   // group at a time -- the slab-load amortization the block-major
   // engine exists for.
-  ExactSlot slots[kMultiQueryTile];
+  using Slot = std::conditional_t<kIndirect, ExactSlotGather, ExactSlot>;
+  Slot slots[kMultiQueryTile];
   for (size_t t = 0; t < nq; t += kMultiQueryTile) {
     const size_t m = std::min(kMultiQueryTile, nq - t);
     for (size_t j = 0; j < m; ++j) {
       const FilterQuery& fq = fqs[t + j];
-      ExactSlot& s = slots[j];
+      Slot& s = slots[j];
       s.colf = ColF(blk, 0);
       s.cold = ColD(blk, 0);
-      s.qf = fq.qf[0];
-      s.rw = fq.rw[0];
-      s.rn = fq.rn[0];
-      s.qd = fq.qd[0];
-      s.rd = fq.r_cached;
-    }
-    ops.mask_sweep_multi(slots, m, count, keep + t * size_t(kScanBlock),
-                         kScanBlock, counts + t);
-  }
-  // Per-query continuation: the exact FilterBlock cascade, over column
-  // slabs the stage-0 pass just made block-resident.
-  for (size_t qi = 0; qi < nq; ++qi) {
-    counts[qi] =
-        ContinueCascade(fqs[qi], base, count, counts[qi],
-                        keep + qi * size_t(kScanBlock), surv + qi * sstride);
-  }
-}
-
-void PivotTable::FilterBlockIndirectMulti(const FilterQuery* fqs, size_t nq,
-                                          size_t base, size_t count,
-                                          uint8_t* keep, uint32_t* surv,
-                                          size_t* counts) const {
-  const size_t sstride = kScanBlock + kSurvWriteSlack;
-  if (width_ == 0) {
-    for (size_t qi = 0; qi < nq; ++qi) {
-      uint32_t* sq = surv + qi * sstride;
-      for (size_t i = 0; i < count; ++i) sq[i] = static_cast<uint32_t>(i);
-      counts[qi] = count;
-    }
-    return;
-  }
-  const SimdOps& ops = *fqs[0].ops;
-  const TableBlock& blk = *blocks_[base / kScanBlock];
-  ExactSlotGather slots[kMultiQueryTile];
-  for (size_t t = 0; t < nq; t += kMultiQueryTile) {
-    const size_t m = std::min(kMultiQueryTile, nq - t);
-    for (size_t j = 0; j < m; ++j) {
-      const FilterQuery& fq = fqs[t + j];
-      ExactSlotGather& s = slots[j];
-      s.colf = ColF(blk, 0);
-      s.cold = ColD(blk, 0);
-      s.idx = ColI(blk, 0);
-      s.qf_pool = fq.qf.data();
-      s.qd_pool = fq.qd;
       s.rw = fq.rw[0];
       s.rn = fq.rn[0];
       s.rd = fq.r_cached;
+      if constexpr (kIndirect) {
+        s.idx = ColI(blk, 0);
+        s.qf_pool = fq.qf.data();
+        s.qd_pool = fq.qd;
+      } else {
+        s.qf = fq.qf[0];
+        s.qd = fq.qd[0];
+      }
     }
-    ops.mask_sweep_gather_multi(slots, m, count,
-                                keep + t * size_t(kScanBlock), kScanBlock,
-                                counts + t);
+    uint8_t* k = keep + t * size_t(kScanBlock);
+    if constexpr (kIndirect) {
+      ops.mask_sweep_gather_multi(slots, m, count, k, kScanBlock, counts + t);
+    } else {
+      ops.mask_sweep_multi(slots, m, count, k, kScanBlock, counts + t);
+    }
   }
+  // Per-query continuation of the cascade, over column slabs the stage-0
+  // pass just made block-resident.
   for (size_t qi = 0; qi < nq; ++qi) {
-    counts[qi] = ContinueCascadeIndirect(fqs[qi], base, count, counts[qi],
-                                         keep + qi * size_t(kScanBlock),
-                                         surv + qi * sstride);
+    uint8_t* k = keep + qi * size_t(kScanBlock);
+    uint32_t* sq = surv + qi * sstride;
+    counts[qi] = kIndirect
+                     ? ContinueCascadeIndirect(fqs[qi], base, count,
+                                               counts[qi], k, sq)
+                     : ContinueCascade(fqs[qi], base, count, counts[qi], k,
+                                       sq);
   }
 }
 
-void PivotTable::RangeScan(const double* phi_q, double r,
-                           std::vector<uint32_t>* survivors) const {
-  uint32_t surv[kScanBlock + kSurvWriteSlack];
-  FilterQuery fq;
-  PrepareFilterQuery(phi_q, &fq);
-  UpdateFilterRadius(r, &fq);
-  for (size_t base = 0; base < rows_; base += kScanBlock) {
-    const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-    const size_t n = FilterBlock(fq, base, count, surv);
-    for (size_t j = 0; j < n; ++j) {
-      survivors->push_back(static_cast<uint32_t>(base) + surv[j]);
-    }
-  }
-}
-
-void PivotTable::RangeScanIndirect(const double* d_qp, uint32_t pool_size,
-                                   double r,
-                                   std::vector<uint32_t>* survivors) const {
-  uint32_t surv[kScanBlock + kSurvWriteSlack];
-  FilterQuery fq;
-  PrepareFilterQueryIndirect(d_qp, pool_size, &fq);
-  UpdateFilterRadius(r, &fq);
-  for (size_t base = 0; base < rows_; base += kScanBlock) {
-    const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-    const size_t n = FilterBlockIndirect(fq, base, count, surv);
-    for (size_t j = 0; j < n; ++j) {
-      survivors->push_back(static_cast<uint32_t>(base) + surv[j]);
-    }
-  }
-}
+template void PivotTable::FilterBlockMulti<false>(const FilterQuery*, size_t,
+                                                  size_t, size_t, uint8_t*,
+                                                  uint32_t*, size_t*) const;
+template void PivotTable::FilterBlockMulti<true>(const FilterQuery*, size_t,
+                                                 size_t, size_t, uint8_t*,
+                                                 uint32_t*, size_t*) const;
 
 }  // namespace pmi

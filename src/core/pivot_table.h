@@ -24,26 +24,29 @@
 // use_count(), whose relaxed load cannot order against a concurrent
 // reader's last access.
 //
-// Query engine v2 adds a derived float32 *filter column* per double
-// column (64-byte-aligned, conservatively comparable -- see
-// src/core/simd.h) and runs the bulk filter over those with the
-// runtime-dispatched SIMD kernels:
+// Each double column has a derived float32 *filter column*
+// (64-byte-aligned, conservatively comparable -- see src/core/simd.h),
+// and the bulk filter runs over those with the runtime-dispatched SIMD
+// kernels:
 //
 //   1. pivot slot 0 sweeps one contiguous f32 column slab 4-16 lanes at
-//      a time, compacting block-local survivors as it goes;
-//   2. each later pivot slot refines the survivor list against its own
-//      f32 column (short, gather-indexed loops);
-//   3. every float survivor is re-checked against the *double* columns
-//      (RowSurvives*) before it escapes the table.
+//      a time, for every query of the scan in one pass over the slab;
+//   2. each later pivot slot narrows a query's survivors against its own
+//      column -- dense f32 mask-ANDs while many survive, then f64
+//      refines over the short compacted survivor list.
 //
-// The float filter uses a radius widened by ConservativeFilterRadius, so
-// it keeps a strict superset of the exact double survivors; step 3 then
-// narrows that superset back to exactly the set the pre-v2 double scan
-// produced.  Survivor lists, query results, verification decisions, and
-// compdists are therefore bit-identical to the row-major double loop at
+// The f32 tests use the two-sided radii of ConservativeFilterRadius /
+// CertificateFilterRadius and fall back to the double predicate only
+// where those disagree, so every stage makes exactly the decision of the
+// row-major double loop.  Survivor lists, query results, verification
+// decisions, and compdists are therefore bit-identical to that loop at
 // every dispatch level -- while the bulk of the scan touches 4 bytes per
 // row instead of 8 and runs 8-16 lanes wide (half the memory traffic,
 // the win bench_micro_scan measures).
+//
+// There is one scan engine, ScanBlockMajor[Indirect]: the batch queries
+// of the table indexes run it over the whole batch, and a single query
+// is a batch of one.
 //
 // Two scan forms cover the two table families:
 //   - shared-pivot (LAESA/CPT): column p holds d(o, p_p); the query side
@@ -277,148 +280,43 @@ class PivotTable {
     return shared;
   }
 
-  /// Shared-pivot range scan: appends every row index whose mapped vector
-  /// intersects the Lemma-1 search region (|phi_o[p] - phi_q[p]| <= r for
-  /// all p) to `survivors`, in ascending row order.  Decisions are made
-  /// on the double columns (the f32 filter only pre-narrows), so the
-  /// output is bit-identical at every SIMD dispatch level.
-  void RangeScan(const double* phi_q, double r,
-                 std::vector<uint32_t>* survivors) const;
-
-  /// Per-row-pivot range scan; `d_qp` maps pool pivot index -> d(q, p)
-  /// and has `pool_size` entries (every stored pivot index is < that).
-  void RangeScanIndirect(const double* d_qp, uint32_t pool_size, double r,
-                         std::vector<uint32_t>* survivors) const;
-
-  /// Blocked scan with a shrinking radius -- the MkNNQ form.  `radius()`
-  /// is read at block entry for the bulk f32 filter, then re-read per
-  /// survivor for an exact double re-check before `verify(row)` runs.
-  /// The block-entry radius is never smaller than the row-by-row radius
-  /// the row-major loop used (the heap only tightens), and the f32
-  /// filter keeps a superset of the double test at that radius, so the
-  /// bulk filter keeps a superset; the per-survivor re-check then prunes
-  /// with *exactly* the radius the old loop would have seen at that row
-  /// -- verification decisions, results, and compdists all match the
-  /// row-major double scan bit for bit.  The re-check touches only the
-  /// few survivors, so the bulk of the scan still runs at f32 column
-  /// speed.
+  /// Block-major scan (shared-pivot form), the one query engine of the
+  /// table indexes -- a single query is a scan with nq = 1.  For each
+  /// kScanBlock row block, runs the filter cascade for ALL `nq` queries
+  /// while the block's column slabs are cache-resident -- one slab load
+  /// amortized over the whole batch (FilterBlockMulti), instead of
+  /// re-streaming every column once per query.
   ///
-  /// `prefetch(row)` runs for every f32-filter survivor of a block
-  /// before any of the block's re-checks/verifications: the batched
-  /// verification hook.  Callers use it to pull the survivors' objects
-  /// toward cache while the re-check loop runs ahead of the
-  /// BoundedDistance calls; since it is only a hint, prefetching the
-  /// f32 superset (including rows the re-check later drops) is
-  /// harmless.
-  template <typename RadiusFn, typename VerifyFn, typename PrefetchFn>
-  void ScanDynamic(const double* phi_q, RadiusFn&& radius, VerifyFn&& verify,
-                   PrefetchFn&& prefetch) const {
-    uint32_t surv[kScanBlock + kSurvWriteSlack];
-    FilterQuery fq;
-    PrepareFilterQuery(phi_q, &fq);
-    for (size_t base = 0; base < rows_; base += kScanBlock) {
-      const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-      UpdateFilterRadius(radius(), &fq);
-      const size_t n = FilterBlock(fq, base, count, surv);
-      for (size_t j = 0; j < n; ++j) prefetch(base + surv[j]);
-      for (size_t j = 0; j < n; ++j) {
-        const size_t row = base + surv[j];
-        if (RowSurvives(row, phi_q, radius())) verify(row);
-      }
-    }
-  }
-
-  template <typename RadiusFn, typename VerifyFn>
-  void ScanDynamic(const double* phi_q, RadiusFn&& radius,
-                   VerifyFn&& verify) const {
-    ScanDynamic(phi_q, radius, verify, [](size_t) {});
-  }
-
-  template <typename RadiusFn, typename VerifyFn, typename PrefetchFn>
-  void ScanDynamicIndirect(const double* d_qp, uint32_t pool_size,
-                           RadiusFn&& radius, VerifyFn&& verify,
-                           PrefetchFn&& prefetch) const {
-    uint32_t surv[kScanBlock + kSurvWriteSlack];
-    FilterQuery fq;
-    PrepareFilterQueryIndirect(d_qp, pool_size, &fq);
-    for (size_t base = 0; base < rows_; base += kScanBlock) {
-      const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-      UpdateFilterRadius(radius(), &fq);
-      const size_t n = FilterBlockIndirect(fq, base, count, surv);
-      for (size_t j = 0; j < n; ++j) prefetch(base + surv[j]);
-      for (size_t j = 0; j < n; ++j) {
-        const size_t row = base + surv[j];
-        if (RowSurvivesIndirect(row, d_qp, radius())) verify(row);
-      }
-    }
-  }
-
-  template <typename RadiusFn, typename VerifyFn>
-  void ScanDynamicIndirect(const double* d_qp, uint32_t pool_size,
-                           RadiusFn&& radius, VerifyFn&& verify) const {
-    ScanDynamicIndirect(d_qp, pool_size, radius, verify, [](size_t) {});
-  }
-
-  /// Block-major batch scan (shared-pivot form), the core of the batch
-  /// query engine: for each kScanBlock row block, runs the filter
-  /// cascade for ALL `nq` queries while the block's column slabs are
-  /// cache-resident -- one slab load amortized over the whole batch
-  /// (FilterBlockMulti), instead of re-streaming every column once per
-  /// query as a query-major loop does.
-  ///
-  /// Per query the execution is EXACTLY the ScanDynamic sequence:
+  /// Per query the execution is exactly the row-major Lemma-1 loop's:
   /// radius(qi) is read at block entry for the bulk f32 filter (the
   /// MkNNQ re-entry point -- a shrinking heap radius is picked up block
-  /// by block), and each filter survivor is re-checked against the
-  /// double columns at the CURRENT radius(qi) before verify(qi, row)
-  /// runs.  Queries only interleave at block boundaries and share no
-  /// state, so per-query filter decisions, verification calls (count
-  /// and order), and results are bit-identical to running the
-  /// single-query scans query by query, at every SIMD dispatch level.
-  /// MRQ callers pass a constant radius (the re-check then passes every
-  /// survivor, matching RangeScan's candidate list); prefetch(qi, row)
-  /// runs for every f32 survivor of a (block, query) pair before that
-  /// pair's re-checks, mirroring ScanDynamic's batched-verification
-  /// hook.  phi(qi) must return a pointer that stays valid for the
-  /// whole scan.  Batches beyond kScanBatchTile are tiled: each tile
-  /// runs the full block loop on its own bounded scratch (a query's own
-  /// block order -- the MkNNQ radius chain -- is untouched by tiling).
+  /// by block), and verify(qi, row) runs for each row the double
+  /// predicate keeps at the CURRENT radius(qi), in ascending row order.
+  /// The cascade already decides exactly at the block-entry radius, so
+  /// a survivor is re-checked against the double columns (RowSurvives)
+  /// only once a verify call has moved the radius inside the block.
+  /// The block-entry radius is never smaller than the row-by-row radius
+  /// (a kNN heap only tightens), so the cascade keeps a superset and the
+  /// re-check prunes with exactly the radius the row-major loop would
+  /// see at that row: verification calls (count and order), results and
+  /// compdists match it bit for bit, at every SIMD dispatch level.
+  /// Queries only interleave at block boundaries and share no state, so
+  /// a batch of N makes the same calls per query as N scans of one.
+  ///
+  /// prefetch(qi, row) runs for every survivor of a (block, query) pair
+  /// before that pair's verify calls: the batched-verification hook
+  /// that pulls the survivors' objects toward cache while the loop runs
+  /// ahead of the distance calls (only a hint, so prefetching rows the
+  /// re-check later drops is harmless).  phi(qi) must return a pointer
+  /// that stays valid for the whole scan.  Batches beyond
+  /// kScanBatchTile are tiled: each tile runs the full block loop on
+  /// its own bounded scratch (a query's own block order -- the MkNNQ
+  /// radius chain -- is untouched by tiling).
   template <typename PhiFn, typename RadiusFn, typename VerifyFn,
             typename PrefetchFn>
   void ScanBlockMajor(size_t nq, PhiFn&& phi, RadiusFn&& radius,
                       VerifyFn&& verify, PrefetchFn&& prefetch) const {
-    if (nq == 0 || rows_ == 0) return;
-    const size_t sstride = kScanBlock + kSurvWriteSlack;
-    const size_t tile = std::min(nq, kScanBatchTile);
-    std::vector<FilterQuery> fqs(tile);
-    std::vector<const double*> phis(tile);
-    std::vector<uint8_t> keep(tile * size_t(kScanBlock));
-    std::vector<uint32_t> surv(tile * sstride);
-    std::vector<size_t> counts(tile);
-    for (size_t t0 = 0; t0 < nq; t0 += tile) {
-      const size_t m = std::min(tile, nq - t0);
-      for (size_t j = 0; j < m; ++j) {
-        phis[j] = phi(t0 + j);
-        PrepareFilterQuery(phis[j], &fqs[j]);
-      }
-      for (size_t base = 0; base < rows_; base += kScanBlock) {
-        const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-        for (size_t j = 0; j < m; ++j) {
-          UpdateFilterRadius(radius(t0 + j), &fqs[j]);
-        }
-        FilterBlockMulti(fqs.data(), m, base, count, keep.data(),
-                         surv.data(), counts.data());
-        for (size_t j = 0; j < m; ++j) {
-          const size_t qi = t0 + j;
-          const uint32_t* s = surv.data() + j * sstride;
-          for (size_t i = 0; i < counts[j]; ++i) prefetch(qi, base + s[i]);
-          for (size_t i = 0; i < counts[j]; ++i) {
-            const size_t row = base + s[i];
-            if (RowSurvives(row, phis[j], radius(qi))) verify(qi, row);
-          }
-        }
-      }
-    }
+    ScanBlocks<false>(nq, 0, phi, radius, verify, prefetch);
   }
 
   /// Per-row-pivot form of ScanBlockMajor; d_qp(qi) maps pool pivot
@@ -429,40 +327,7 @@ class PivotTable {
   void ScanBlockMajorIndirect(size_t nq, uint32_t pool_size, DqpFn&& d_qp,
                               RadiusFn&& radius, VerifyFn&& verify,
                               PrefetchFn&& prefetch) const {
-    if (nq == 0 || rows_ == 0) return;
-    const size_t sstride = kScanBlock + kSurvWriteSlack;
-    const size_t tile = std::min(nq, kScanBatchTile);
-    std::vector<FilterQuery> fqs(tile);
-    std::vector<const double*> dqps(tile);
-    std::vector<uint8_t> keep(tile * size_t(kScanBlock));
-    std::vector<uint32_t> surv(tile * sstride);
-    std::vector<size_t> counts(tile);
-    for (size_t t0 = 0; t0 < nq; t0 += tile) {
-      const size_t m = std::min(tile, nq - t0);
-      for (size_t j = 0; j < m; ++j) {
-        dqps[j] = d_qp(t0 + j);
-        PrepareFilterQueryIndirect(dqps[j], pool_size, &fqs[j]);
-      }
-      for (size_t base = 0; base < rows_; base += kScanBlock) {
-        const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
-        for (size_t j = 0; j < m; ++j) {
-          UpdateFilterRadius(radius(t0 + j), &fqs[j]);
-        }
-        FilterBlockIndirectMulti(fqs.data(), m, base, count, keep.data(),
-                                 surv.data(), counts.data());
-        for (size_t j = 0; j < m; ++j) {
-          const size_t qi = t0 + j;
-          const uint32_t* s = surv.data() + j * sstride;
-          for (size_t i = 0; i < counts[j]; ++i) prefetch(qi, base + s[i]);
-          for (size_t i = 0; i < counts[j]; ++i) {
-            const size_t row = base + s[i];
-            if (RowSurvivesIndirect(row, dqps[j], radius(qi))) {
-              verify(qi, row);
-            }
-          }
-        }
-      }
-    }
+    ScanBlocks<true>(nq, pool_size, d_qp, radius, verify, prefetch);
   }
 
   /// Logical footprint of the stored rows (block padding and sharing
@@ -549,7 +414,7 @@ class PivotTable {
   static void UpdateFilterRadius(double r, FilterQuery* fq);
 
   /// Single-row Lemma-1 test at radius `r` on the exact double columns
-  /// (the per-survivor re-check of every scan).
+  /// (the re-check of a survivor after the radius moved mid-block).
   bool RowSurvives(size_t row, const double* phi_q, double r) const {
     const TableBlock& b = *blocks_[row / kScanBlock];
     const size_t o = row % kScanBlock;
@@ -570,45 +435,86 @@ class PivotTable {
     return true;
   }
 
-  /// Exact block filter: writes the block-local indices (0-based within
-  /// [base, base+count)) of the rows surviving all pivot slots at the
-  /// prepared radius into `surv` (ascending); returns how many.  The
-  /// decisions equal the double predicate row for row -- the f32
-  /// columns are only the fast path (see src/core/simd.h) -- so the
-  /// output is bit-identical to the row-major double loop at every
-  /// dispatch level.  `surv` needs kSurvWriteSlack extra capacity past
-  /// `count`.
-  size_t FilterBlock(const FilterQuery& fq, size_t base, size_t count,
-                     uint32_t* surv) const;
-  size_t FilterBlockIndirect(const FilterQuery& fq, size_t base,
-                             size_t count, uint32_t* surv) const;
+  /// The body of both ScanBlockMajor forms; `query(qi)` is phi (shared
+  /// form) or d_qp (indirect form).
+  template <bool kIndirect, typename QueryFn, typename RadiusFn,
+            typename VerifyFn, typename PrefetchFn>
+  void ScanBlocks(size_t nq, uint32_t pool_size, QueryFn&& query,
+                  RadiusFn&& radius, VerifyFn&& verify,
+                  PrefetchFn&& prefetch) const {
+    if (nq == 0 || rows_ == 0) return;
+    const size_t sstride = kScanBlock + kSurvWriteSlack;
+    const size_t tile = std::min(nq, kScanBatchTile);
+    std::vector<FilterQuery> fqs(tile);
+    std::vector<uint8_t> keep(tile * size_t(kScanBlock));
+    std::vector<uint32_t> surv(tile * sstride);
+    std::vector<size_t> counts(tile);
+    for (size_t t0 = 0; t0 < nq; t0 += tile) {
+      const size_t m = std::min(tile, nq - t0);
+      for (size_t j = 0; j < m; ++j) {
+        if constexpr (kIndirect) {
+          PrepareFilterQueryIndirect(query(t0 + j), pool_size, &fqs[j]);
+        } else {
+          PrepareFilterQuery(query(t0 + j), &fqs[j]);
+        }
+      }
+      for (size_t base = 0; base < rows_; base += kScanBlock) {
+        const size_t count = std::min<size_t>(kScanBlock, rows_ - base);
+        for (size_t j = 0; j < m; ++j) {
+          UpdateFilterRadius(radius(t0 + j), &fqs[j]);
+        }
+        FilterBlockMulti<kIndirect>(fqs.data(), m, base, count, keep.data(),
+                                    surv.data(), counts.data());
+        for (size_t j = 0; j < m; ++j) {
+          // Locals, so verify()'s stores cannot force reloads.
+          const size_t qi = t0 + j;
+          const uint32_t* s = surv.data() + j * sstride;
+          const size_t n = counts[j];
+          const double r_filter = fqs[j].r_cached;
+          const double* q = fqs[j].qd;
+          for (size_t i = 0; i < n; ++i) prefetch(qi, base + s[i]);
+          for (size_t i = 0; i < n; ++i) {
+            const size_t row = base + s[i];
+            // The cascade decided exactly at r_filter: re-check only
+            // once a verify call has moved the radius.
+            const double r = radius(qi);
+            if (r == r_filter || (kIndirect ? RowSurvivesIndirect(row, q, r)
+                                            : RowSurvives(row, q, r))) {
+              verify(qi, row);
+            }
+          }
+        }
+      }
+    }
+  }
 
   /// The cascade stages after the pivot-0 sweep -- dense mask-ANDs while
   /// profitable, compaction, then f64 refines over the sparse survivor
-  /// list.  ONE implementation shared by the single-query FilterBlock*
-  /// and the per-query continuations of FilterBlockMulti*, so the
-  /// block-major == query-major bit-identity holds by construction, not
-  /// by parallel maintenance.  `n` is the pivot-0 survivor count over
-  /// `keep`; returns the final count with survivors in `surv`.
+  /// list: the per-query continuation of FilterBlockMulti.  `n` is the
+  /// pivot-0 survivor count over `keep`; returns the final count with
+  /// survivors in `surv`.
   size_t ContinueCascade(const FilterQuery& fq, size_t base, size_t count,
                          size_t n, uint8_t* keep, uint32_t* surv) const;
   size_t ContinueCascadeIndirect(const FilterQuery& fq, size_t base,
                                  size_t count, size_t n, uint8_t* keep,
                                  uint32_t* surv) const;
 
-  /// Batch forms of FilterBlock: one block, `nq` prepared queries.  The
-  /// pivot-0 sweep runs through the multi-query kernels in tiles of
+  /// Exact block filter (per-row-pivot form when kIndirect): one block,
+  /// `nq` prepared queries.  The pivot-0
+  /// sweep runs through the multi-query kernels in tiles of
   /// kMultiQueryTile (one slab load per row chunk for the whole tile);
-  /// each query's cascade then continues exactly as in FilterBlock, so
-  /// query qi's survivor row (surv + qi * (kScanBlock + kSurvWriteSlack),
-  /// count in counts[qi]) is identical to what FilterBlock would return
-  /// for that query alone.  `keep` is nq * kScanBlock scratch bytes.
+  /// each query's cascade then continues on its own (ContinueCascade*).
+  /// Query qi's survivor row (surv + qi * (kScanBlock + kSurvWriteSlack),
+  /// count in counts[qi]) holds the block-local indices (ascending) of
+  /// the rows surviving every pivot slot at the prepared radius.  The
+  /// decisions equal the double predicate row for row -- the f32 columns
+  /// are only the fast path (see src/core/simd.h) -- so they do not
+  /// depend on the dispatch level or on the other queries of the call.
+  /// `keep` is nq * kScanBlock scratch bytes.
+  template <bool kIndirect>
   void FilterBlockMulti(const FilterQuery* fqs, size_t nq, size_t base,
                         size_t count, uint8_t* keep, uint32_t* surv,
                         size_t* counts) const;
-  void FilterBlockIndirectMulti(const FilterQuery* fqs, size_t nq,
-                                size_t base, size_t count, uint8_t* keep,
-                                uint32_t* surv, size_t* counts) const;
 
   uint32_t width_ = 0;
   size_t rows_ = 0;

@@ -1060,8 +1060,6 @@ SimdOps MakeOps(SimdLevel level) {
   SimdOps ops;
   ops.level = SimdLevel::kScalar;
   ops.dense_divisor = 0;
-  ops.mask_sweep = MaskSweepScalar;
-  ops.mask_sweep_gather = MaskSweepGatherScalar;
   ops.mask_sweep_multi = MaskSweepMultiScalar;
   ops.mask_sweep_gather_multi = MaskSweepGatherMultiScalar;
   ops.mask_and = MaskAndScalar;
@@ -1076,8 +1074,6 @@ SimdOps MakeOps(SimdLevel level) {
     case SimdLevel::kAvx2:
       ops.level = SimdLevel::kAvx2;
       ops.dense_divisor = 8;
-      ops.mask_sweep = MaskSweepAvx2;
-      ops.mask_sweep_gather = MaskSweepGatherAvx2;
       ops.mask_sweep_multi = MaskSweepMultiAvx2;
       ops.mask_sweep_gather_multi = MaskSweepGatherMultiAvx2;
       ops.mask_and = MaskAndAvx2;
@@ -1090,8 +1086,6 @@ SimdOps MakeOps(SimdLevel level) {
     case SimdLevel::kAvx512:
       ops.level = SimdLevel::kAvx512;
       ops.dense_divisor = 8;
-      ops.mask_sweep = MaskSweepAvx512;
-      ops.mask_sweep_gather = MaskSweepGatherAvx512;
       ops.mask_sweep_multi = MaskSweepMultiAvx512;
       ops.mask_sweep_gather_multi = MaskSweepGatherMultiAvx512;
       ops.mask_and = MaskAndAvx512;

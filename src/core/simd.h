@@ -65,27 +65,31 @@ bool SimdLevelSupported(SimdLevel level);
 /// contract is that the produced mask equals the exact double predicate
 /// fabs(cold[i] - qd) <= rd for every row -- the f32 side is only the
 /// fast path (see the two-sided radius derivation below).
+///
+/// Plain aggregates without member initializers: the block filter fills
+/// an array of kMultiQueryTile of them per block, and zero-filling the
+/// unused entries every block measurably slowed single-query scans.
 struct ExactSlot {
-  const float* colf = nullptr;   ///< f32 filter column (block base)
-  const double* cold = nullptr;  ///< f64 column (same base)
-  float qf = 0;                  ///< FilterValue(qd)
-  float rw = 0;                  ///< wide radius: double-pass => f32-pass
-  float rn = 0;                  ///< narrow radius: f32-pass => double-pass
-  double qd = 0;                 ///< exact query value
-  double rd = 0;                 ///< exact radius
+  const float* colf;   ///< f32 filter column (block base)
+  const double* cold;  ///< f64 column (same base)
+  float qf;            ///< FilterValue(qd)
+  float rw;            ///< wide radius: double-pass => f32-pass
+  float rn;            ///< narrow radius: f32-pass => double-pass
+  double qd;           ///< exact query value
+  double rd;           ///< exact radius
 };
 
 /// Per-row-pivot (EPT) form: the query value for row i is
 /// qf_pool[idx[i]] / qd_pool[idx[i]].
 struct ExactSlotGather {
-  const float* colf = nullptr;
-  const double* cold = nullptr;
-  const uint32_t* idx = nullptr;  ///< pool-index column (block base)
-  const float* qf_pool = nullptr;
-  const double* qd_pool = nullptr;
-  float rw = 0;
-  float rn = 0;
-  double rd = 0;
+  const float* colf;
+  const double* cold;
+  const uint32_t* idx;  ///< pool-index column (block base)
+  const float* qf_pool;
+  const double* qd_pool;
+  float rw;
+  float rn;
+  double rd;
 };
 
 /// Queries per multi-kernel call.  The batch entry points hand the
@@ -98,10 +102,10 @@ inline constexpr size_t kMultiQueryTile = 16;
 /// Kernel table for one dispatch level.  Two kernel families cover the
 /// two survivor-density regimes of a filter cascade:
 ///
-///   dense  -- 0/1 byte masks over a whole block: mask_sweep produces
-///             them, mask_and narrows them against further columns
-///             (contiguous, lane-parallel, f32 traffic), compact turns
-///             the final mask into ascending indices;
+///   dense  -- 0/1 byte masks over a whole block: mask_sweep_multi
+///             produces them, mask_and narrows them against further
+///             columns (contiguous, lane-parallel, f32 traffic), compact
+///             turns the final mask into ascending indices;
 ///   sparse -- refine_f64* narrows an explicit survivor index list in
 ///             place against the double columns (touches only
 ///             survivors; a sparse gather pulls the whole cache line
@@ -127,28 +131,21 @@ struct SimdOps {
   /// gather (per-row-pivot) forms alike.
   unsigned dense_divisor = 0;
 
-  /// keep[i] = (fabs(cold[i] - qd) <= rd) ? 1 : 0 for i < count, decided
-  /// through the two-sided f32 test with f64 fallback on ambiguity;
-  /// returns the number of set bytes.
-  size_t (*mask_sweep)(const ExactSlot& s, size_t count, uint8_t* keep);
-  size_t (*mask_sweep_gather)(const ExactSlotGather& s, size_t count,
-                              uint8_t* keep);
-
   /// keep[i] &= exact predicate; returns the surviving count.
   size_t (*mask_and)(const ExactSlot& s, size_t count, uint8_t* keep);
   size_t (*mask_and_gather)(const ExactSlotGather& s, size_t count,
                             uint8_t* keep);
 
-  /// Multi-query sweeps, the register-level half of the block-major
-  /// batch engine: evaluate the exact predicate of `nq` queries
-  /// (1 <= nq <= kMultiQueryTile) over the SAME contiguous cells --
-  /// slots[qi].colf / .cold must all point at one column block -- in a
-  /// single pass, so one cell load serves every query in the tile.
-  /// Query qi's 0/1 mask bytes land at keep + qi * keep_stride and its
-  /// survivor count in counts[qi].  Each mask row equals what mask_sweep
-  /// would produce for that query alone (the exact double predicate), so
-  /// the batch engine inherits the single-query exactness contract
-  /// unchanged -- the two-sided rounding argument needs no new analysis.
+  /// Pivot-0 sweeps, the register-level half of the block-major scan:
+  /// evaluate the exact predicate of `nq` queries (1 <= nq <=
+  /// kMultiQueryTile) over the SAME contiguous cells -- slots[qi].colf /
+  /// .cold must all point at one column block -- in a single pass, so
+  /// one cell load serves every query in the tile.  Query qi's mask
+  /// bytes land at keep + qi * keep_stride, keep[i] = (fabs(cold[i] -
+  /// qd) <= rd) ? 1 : 0 for i < count, decided through the two-sided f32
+  /// test with f64 fallback on ambiguity; its survivor count lands in
+  /// counts[qi].  Each mask row is that query's exact double predicate,
+  /// independent of the other queries in the call.
   void (*mask_sweep_multi)(const ExactSlot* slots, size_t nq, size_t count,
                            uint8_t* keep, size_t keep_stride, size_t* counts);
   void (*mask_sweep_gather_multi)(const ExactSlotGather* slots, size_t nq,

@@ -56,50 +56,38 @@ double Cpt::VerifyFromDisk(const ObjectView& q, ObjectId id,
   return 0;
 }
 
-void Cpt::RangeImpl(const ObjectView& q, double r,
-                    std::vector<ObjectId>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> phi_q;
-  pivots_.Map(q, d, &phi_q);
-  std::vector<uint32_t> candidates;
-  // The bulk filter runs on the f32 SIMD path like LAESA's, but CPT
-  // verifies from M-tree leaf pages through the buffer pool, so the
-  // in-memory object-prefetch batching does not apply here.
-  table_.RangeScan(phi_q.data(), r, &candidates);
-  for (uint32_t row : candidates) {
-    const ObjectId id = oids_[row];
-    if (VerifyFromDisk(q, id, r) <= r) out->push_back(id);
-  }
-}
-
 void Cpt::KnnImpl(const ObjectView& q, size_t k,
                   std::vector<Neighbor>* out) const {
   DistanceComputer d = dist();
   std::vector<double> phi_q;
   pivots_.Map(q, d, &phi_q);
   KnnHeap heap(k);
-  table_.ScanDynamic(
-      phi_q.data(), [&] { return heap.radius(); },
-      [&](size_t row) {
+  // A one-query block-major scan: verification (and its page accesses)
+  // interleaves with the scan in row order, exactly as serial kNN did.
+  table_.ScanBlockMajor(
+      1, [&](size_t) { return phi_q.data(); },
+      [&](size_t) { return heap.radius(); },
+      [&](size_t, size_t row) {
         const ObjectId id = oids_[row];
         heap.Push(id, VerifyFromDisk(q, id, heap.radius()));
-      });
+      },
+      [](size_t, size_t) {});
   heap.TakeSorted(out);
 }
 
-// Block-major batch MRQ, in two phases.  Phase 1 (pure main memory, no
-// page accesses): map every query, then stream the in-memory table once
-// for the whole batch, collecting each query's exact candidate rows.
-// Phase 2: verify from disk query by query, in batch order -- the same
-// VerifyFromDisk calls, in the same order, as a query-major loop, so
-// the logical LRU hit/miss pattern and the PA accounting are replayed
+// Block-major MRQ, in two phases.  Phase 1 (pure main memory, no page
+// accesses): map every query, then stream the in-memory table once for
+// the whole batch, collecting each query's exact candidate rows.  Phase
+// 2: verify from disk query by query, in batch order -- the same
+// VerifyFromDisk calls, in the same order, as N batches of one, so the
+// logical LRU hit/miss pattern and the PA accounting are replayed
 // exactly, not just the results.  The whole batch runs on the calling
 // thread, which keeps the logical access order deterministic (the
 // parallel query-major path cannot promise that; see index.h).
-bool Cpt::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                              const double* radii,
-                              std::vector<std::vector<ObjectId>>* out,
-                              PerfCounters* per_query) const {
+void Cpt::RangeBatchImpl(const std::vector<ObjectView>& queries,
+                         const double* radii,
+                         std::vector<std::vector<ObjectId>>* out,
+                         PerfCounters* per_query) const {
   const size_t nq = queries.size();
   std::vector<std::vector<double>> phi(nq);
   for (size_t i = 0; i < nq; ++i) {
@@ -126,7 +114,6 @@ bool Cpt::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
       }
     }
   }
-  return true;
 }
 
 void Cpt::InsertImpl(ObjectId id) {

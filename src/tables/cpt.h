@@ -29,13 +29,6 @@ class Cpt final : public MetricIndex {
 
   std::string name() const override { return "CPT"; }
   bool disk_based() const override { return true; }
-  // Batch MRQs run block-major over the in-memory table half; the disk
-  // verification phase then replays the query-major page-access sequence
-  // exactly (see RangeBatchBlockImpl).  MkNNQ batches stay query-major:
-  // the shrinking radius interleaves verification I/O with the scan, so
-  // reordering would change which buffer-pool accesses miss -- and PA is
-  // an accounted cost here, not a hint.
-  bool block_major_batches() const override { return true; }
   size_t memory_bytes() const override;
   size_t disk_bytes() const override;
 
@@ -44,16 +37,21 @@ class Cpt final : public MetricIndex {
 
  protected:
   void BuildImpl() override;
-  void RangeImpl(const ObjectView& q, double r,
-                 std::vector<ObjectId>* out) const override;
+  // MRQs run block-major over the in-memory table half; the disk
+  // verification phase then replays the query-by-query page-access
+  // sequence exactly (see RangeBatchImpl).  MkNNQ stays query-major
+  // (KnnImpl, looped by the default batch hook): the shrinking radius
+  // interleaves verification I/O with the scan, so reordering would
+  // change which buffer-pool accesses miss -- and PA is an accounted
+  // cost here, not a hint.
+  void RangeBatchImpl(const std::vector<ObjectView>& queries,
+                      const double* radii,
+                      std::vector<std::vector<ObjectId>>* out,
+                      PerfCounters* per_query) const override;
   void KnnImpl(const ObjectView& q, size_t k,
                std::vector<Neighbor>* out) const override;
   void InsertImpl(ObjectId id) override;
   void RemoveImpl(ObjectId id) override;
-  bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                           const double* radii,
-                           std::vector<std::vector<ObjectId>>* out,
-                           PerfCounters* per_query) const override;
   Status SaveImpl(ByteSink* out) const override;
   Status LoadImpl(ByteSource* in) override;
 

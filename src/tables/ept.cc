@@ -207,10 +207,6 @@ void Ept::AppendRow(ObjectId id) {
   table_.AppendRow(row_pdist_.data(), row_pidx_.data());
 }
 
-void Ept::MapQueryToPool(const ObjectView& q, std::vector<double>* out) const {
-  MapQueryToPool(q, dist(), out);
-}
-
 void Ept::MapQueryToPool(const ObjectView& q, const DistanceComputer& d,
                          std::vector<double>* out) const {
   const PivotSet& pool = query_pool();
@@ -218,49 +214,18 @@ void Ept::MapQueryToPool(const ObjectView& q, const DistanceComputer& d,
   for (uint32_t p = 0; p < pool.size(); ++p) (*out)[p] = d(q, pool.pivot(p));
 }
 
-void Ept::RangeImpl(const ObjectView& q, double r,
-                    std::vector<ObjectId>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> d_qp;
-  MapQueryToPool(q, &d_qp);
-  std::vector<uint32_t> candidates;
-  table_.RangeScanIndirect(d_qp.data(),
-                           static_cast<uint32_t>(d_qp.size()), r,
-                           &candidates);
-  VerifyCandidatesWithPrefetch(candidates, oids_, data(), d, q, r, out);
-}
-
-void Ept::KnnImpl(const ObjectView& q, size_t k,
-                  std::vector<Neighbor>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> d_qp;
-  MapQueryToPool(q, &d_qp);
-  KnnHeap heap(k);
-  table_.ScanDynamicIndirect(
-      d_qp.data(), static_cast<uint32_t>(d_qp.size()),
-      [&] { return heap.radius(); },
-      [&](size_t row) {
-        const ObjectId id = oids_[row];
-        heap.Push(id, d.Bounded(q, data().view(id), heap.radius()));
-      },
-      [&](size_t row) {
-        PrefetchRead(data().view(oids_[row]).payload_ptr());
-      });
-  heap.TakeSorted(out);
-}
-
-// Block-major batch paths: the indirect-form mirror of Laesa's (see
+// Block-major query paths: the indirect-form mirror of Laesa's (see
 // laesa.cc) -- queries map against the pivot pool, then the per-row-
 // pivot table streams once per query chunk via ScanBlockMajorIndirect.
-bool Ept::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                              const double* radii,
-                              std::vector<std::vector<ObjectId>>* out,
-                              PerfCounters* per_query) const {
+void Ept::RangeBatchImpl(const std::vector<ObjectView>& queries,
+                         const double* radii,
+                         std::vector<std::vector<ObjectId>>* out,
+                         PerfCounters* per_query) const {
   ParallelQueryChunks(
       queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
         // Worker-private shards, folded once at chunk end (see
-        // Laesa::RangeBatchBlockImpl).
+        // Laesa::RangeBatchImpl).
         std::vector<PerfCounters> local(m);
         std::vector<std::vector<double>> d_qp(m);
         for (size_t j = 0; j < m; ++j) {
@@ -284,17 +249,16 @@ bool Ept::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
             });
         for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
       });
-  return true;
 }
 
-bool Ept::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                            const size_t* ks,
-                            std::vector<std::vector<Neighbor>>* out,
-                            PerfCounters* per_query) const {
+void Ept::KnnBatchImpl(const std::vector<ObjectView>& queries,
+                       const size_t* ks,
+                       std::vector<std::vector<Neighbor>>* out,
+                       PerfCounters* per_query) const {
   ParallelQueryChunks(
       queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
-        std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
+        std::vector<PerfCounters> local(m);  // see RangeBatchImpl
         std::vector<std::vector<double>> d_qp(m);
         std::vector<KnnHeap> heaps;
         heaps.reserve(m);
@@ -322,7 +286,6 @@ bool Ept::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
           per_query[qb + j] += local[j];
         }
       });
-  return true;
 }
 
 void Ept::InsertImpl(ObjectId id) {

@@ -41,8 +41,6 @@ class Ept final : public MetricIndex {
     return variant_ == Variant::kClassic ? "EPT" : "EPT*";
   }
   bool disk_based() const override { return false; }
-  // Batches run block-major over the per-row-pivot table (see Laesa).
-  bool block_major_batches() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 
@@ -54,20 +52,16 @@ class Ept final : public MetricIndex {
 
  protected:
   void BuildImpl() override;
-  void RangeImpl(const ObjectView& q, double r,
-                 std::vector<ObjectId>* out) const override;
-  void KnnImpl(const ObjectView& q, size_t k,
-               std::vector<Neighbor>* out) const override;
   void InsertImpl(ObjectId id) override;
   void RemoveImpl(ObjectId id) override;
-  bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                           const double* radii,
-                           std::vector<std::vector<ObjectId>>* out,
-                           PerfCounters* per_query) const override;
-  bool KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                         const size_t* ks,
-                         std::vector<std::vector<Neighbor>>* out,
-                         PerfCounters* per_query) const override;
+  // Queries run block-major over the per-row-pivot table (see Laesa).
+  void RangeBatchImpl(const std::vector<ObjectView>& queries,
+                      const double* radii,
+                      std::vector<std::vector<ObjectId>>* out,
+                      PerfCounters* per_query) const override;
+  void KnnBatchImpl(const std::vector<ObjectView>& queries, const size_t* ks,
+                    std::vector<std::vector<Neighbor>>* out,
+                    PerfCounters* per_query) const override;
   Status SaveImpl(ByteSink* out) const override;
   Status LoadImpl(ByteSource* in) override;
 
@@ -88,9 +82,8 @@ class Ept final : public MetricIndex {
   void SelectStar(ObjectId id, const DistanceComputer& d, uint32_t* pidx,
                   double* pdist) const;
   void AppendRow(ObjectId id);
-  void MapQueryToPool(const ObjectView& q, std::vector<double>* out) const;
-  /// Batch form: the pool mapping counted through an explicit computer
-  /// (the block-major paths bind one per query shard).
+  /// The pool mapping d(q, pool[p]), counted through `d` (the query
+  /// paths bind one per query shard).
   void MapQueryToPool(const ObjectView& q, const DistanceComputer& d,
                       std::vector<double>* out) const;
 

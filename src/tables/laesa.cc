@@ -33,45 +33,17 @@ void Laesa::BuildImpl() {
   FoldCounters(shards, &counters_);
 }
 
-void Laesa::RangeImpl(const ObjectView& q, double r,
-                      std::vector<ObjectId>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> phi_q;
-  pivots_.Map(q, d, &phi_q);
-  std::vector<uint32_t> candidates;
-  table_.RangeScan(phi_q.data(), r, &candidates);
-  VerifyCandidatesWithPrefetch(candidates, oids_, data(), d, q, r, out);
-}
-
-void Laesa::KnnImpl(const ObjectView& q, size_t k,
-                    std::vector<Neighbor>* out) const {
-  DistanceComputer d = dist();
-  std::vector<double> phi_q;
-  pivots_.Map(q, d, &phi_q);
-  KnnHeap heap(k);
-  table_.ScanDynamic(
-      phi_q.data(), [&] { return heap.radius(); },
-      [&](size_t row) {
-        const ObjectId id = oids_[row];
-        heap.Push(id, d.Bounded(q, data().view(id), heap.radius()));
-      },
-      [&](size_t row) {
-        PrefetchRead(data().view(oids_[row]).payload_ptr());
-      });
-  heap.TakeSorted(out);
-}
-
-// Block-major batch MRQ: queries are fixed-partitioned into contiguous
-// chunks (one per pool slot); each chunk maps its queries, then streams
-// the pivot table ONCE for the whole chunk via ScanBlockMajor -- every
-// 1 KB column slab filters all chunk queries while cache-resident.  Per
-// query the mapping (|P| compdists) and the verification calls (one
-// Bounded per exact survivor, ascending row order) are exactly what
-// RangeImpl performs, counted into that query's shard.
-bool Laesa::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                                const double* radii,
-                                std::vector<std::vector<ObjectId>>* out,
-                                PerfCounters* per_query) const {
+// Block-major MRQ: queries are fixed-partitioned into contiguous chunks
+// (one per pool slot); each chunk maps its queries, then streams the
+// pivot table ONCE for the whole chunk via ScanBlockMajor -- every 1 KB
+// column slab filters all chunk queries while cache-resident.  Per query
+// the mapping (|P| compdists) and the verification calls (one Bounded
+// per exact survivor, ascending row order) are those of the row-major
+// Lemma-1 loop, counted into that query's shard.
+void Laesa::RangeBatchImpl(const std::vector<ObjectView>& queries,
+                           const double* radii,
+                           std::vector<std::vector<ObjectId>>* out,
+                           PerfCounters* per_query) const {
   ParallelQueryChunks(
       queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
@@ -101,20 +73,18 @@ bool Laesa::RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
             });
         for (size_t j = 0; j < m; ++j) per_query[qb + j] += local[j];
       });
-  return true;
 }
 
-// Block-major batch MkNNQ: same chunking; each query carries its own
-// heap, whose shrinking radius re-enters the filter at every block
-// boundary exactly as in the single-query ScanDynamic.
-bool Laesa::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                              const size_t* ks,
-                              std::vector<std::vector<Neighbor>>* out,
-                              PerfCounters* per_query) const {
+// Block-major MkNNQ: same chunking; each query carries its own heap,
+// whose shrinking radius re-enters the filter at every block boundary.
+void Laesa::KnnBatchImpl(const std::vector<ObjectView>& queries,
+                         const size_t* ks,
+                         std::vector<std::vector<Neighbor>>* out,
+                         PerfCounters* per_query) const {
   ParallelQueryChunks(
       queries.size(), [&](size_t qb, size_t qe) {
         const size_t m = qe - qb;
-        std::vector<PerfCounters> local(m);  // see RangeBatchBlockImpl
+        std::vector<PerfCounters> local(m);  // see RangeBatchImpl
         std::vector<std::vector<double>> phi(m);
         std::vector<KnnHeap> heaps;
         heaps.reserve(m);
@@ -142,7 +112,6 @@ bool Laesa::KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
           per_query[qb + j] += local[j];
         }
       });
-  return true;
 }
 
 void Laesa::InsertImpl(ObjectId id) {

@@ -33,10 +33,6 @@ class Laesa final : public MetricIndex {
 
   std::string name() const override { return "LAESA"; }
   bool disk_based() const override { return false; }
-  // Batches run block-major: one pivot-table pass for the whole batch
-  // (src/core/pivot_table.h ScanBlockMajor), bit-identical to the
-  // query-major loop.
-  bool block_major_batches() const override { return true; }
   std::unique_ptr<MetricIndex> Clone() const override;
   size_t memory_bytes() const override;
 
@@ -46,20 +42,17 @@ class Laesa final : public MetricIndex {
 
  protected:
   void BuildImpl() override;
-  void RangeImpl(const ObjectView& q, double r,
-                 std::vector<ObjectId>* out) const override;
-  void KnnImpl(const ObjectView& q, size_t k,
-               std::vector<Neighbor>* out) const override;
   void InsertImpl(ObjectId id) override;
   void RemoveImpl(ObjectId id) override;
-  bool RangeBatchBlockImpl(const std::vector<ObjectView>& queries,
-                           const double* radii,
-                           std::vector<std::vector<ObjectId>>* out,
-                           PerfCounters* per_query) const override;
-  bool KnnBatchBlockImpl(const std::vector<ObjectView>& queries,
-                         const size_t* ks,
-                         std::vector<std::vector<Neighbor>>* out,
-                         PerfCounters* per_query) const override;
+  // Every query, single or batched, runs block-major: one pivot-table
+  // pass per query chunk (src/core/pivot_table.h ScanBlockMajor).
+  void RangeBatchImpl(const std::vector<ObjectView>& queries,
+                      const double* radii,
+                      std::vector<std::vector<ObjectId>>* out,
+                      PerfCounters* per_query) const override;
+  void KnnBatchImpl(const std::vector<ObjectView>& queries, const size_t* ks,
+                    std::vector<std::vector<Neighbor>>* out,
+                    PerfCounters* per_query) const override;
   Status SaveImpl(ByteSink* out) const override;
   Status LoadImpl(ByteSource* in) override;
 

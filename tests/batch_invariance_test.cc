@@ -1,17 +1,17 @@
 // Batch-engine invariance suite -- the exactness contract of the
-// block-major batch engine (extends tests/thread_invariance_test.cc to
+// block-major scan engine (extends tests/thread_invariance_test.cc to
 // the batch execution axes).
 //
 // The contract (src/core/index.h, pivot_table.h ScanBlockMajor): batch
 // results, total compdists, and per-query OpStats are independent of
-//   - execution mode (block-major vs the frozen query-major loop),
+//   - batch split (a batch of N == N batches of one, i.e. N single
+//     queries; one big batch == concatenated sub-batches),
 //   - batch order (permuting the queries permutes the answers),
-//   - batch split (one big batch == concatenated sub-batches),
 //   - thread count, and
 //   - SIMD dispatch level,
-// for every index that opts into block_major_batches() -- LAESA, EPT,
-// EPT*, and CPT (whose MRQ batches must additionally replay the
-// query-major buffer-pool access sequence exactly, so even page
+// for the table indexes that answer through the block-major engine --
+// LAESA, EPT, EPT*, and CPT (whose MRQ batches must additionally replay
+// the query-by-query buffer-pool access sequence exactly, so even page
 // accesses are pinned).
 
 #include <algorithm>
@@ -110,7 +110,7 @@ void ExpectSamePerQuery(const std::vector<OpStats>& got,
 
 using IndexFactory = std::unique_ptr<MetricIndex> (*)();
 
-const IndexFactory kBlockMajorFactories[] = {
+const IndexFactory kTableFactories[] = {
     [] { return std::unique_ptr<MetricIndex>(std::make_unique<Laesa>()); },
     [] {
       return std::unique_ptr<MetricIndex>(
@@ -126,81 +126,83 @@ const IndexFactory kBlockMajorFactories[] = {
 std::unique_ptr<MetricIndex> BuildFresh(IndexFactory make) {
   auto index = make();
   index->Build(world->bd.data, *world->bd.metric, world->pivots);
-  EXPECT_TRUE(index->block_major_batches()) << index->name();
   return index;
 }
 
-std::vector<std::unique_ptr<MetricIndex>> BuildBlockMajorIndexes() {
+std::vector<std::unique_ptr<MetricIndex>> BuildTableIndexes() {
   std::vector<std::unique_ptr<MetricIndex>> out;
-  for (IndexFactory make : kBlockMajorFactories) out.push_back(BuildFresh(make));
+  for (IndexFactory make : kTableFactories) out.push_back(BuildFresh(make));
   return out;
 }
 
-// Mode equivalence: block-major answers (results, total stats,
-// per-query stats) must equal the frozen query-major path bit for bit.
-// Each mode runs on a freshly built instance so CPT's buffer pool
-// starts from the identical post-build state -- the page-access replay
-// is then pinned exactly, not just the results.
-TEST_F(BatchInvarianceTest, BlockMajorMatchesQueryMajor) {
-  for (IndexFactory make : kBlockMajorFactories) {
-    auto index_qm = BuildFresh(make);
-    auto index_bm = BuildFresh(make);
-    std::vector<std::vector<ObjectId>> mrq_qm, mrq_bm;
-    std::vector<OpStats> pq_qm, pq_bm;
-    OpStats qm = index_qm->RangeQueryBatch(world->queries, world->radii,
-                                           &mrq_qm, &pq_qm,
-                                           BatchMode::kQueryMajor);
-    OpStats bm = index_bm->RangeQueryBatch(world->queries, world->radii,
-                                           &mrq_bm, &pq_bm,
-                                           BatchMode::kAuto);
-    EXPECT_EQ(mrq_bm, mrq_qm) << index_qm->name();
-    EXPECT_EQ(bm.dist_computations, qm.dist_computations) << index_qm->name();
-    EXPECT_EQ(bm.page_reads, qm.page_reads) << index_qm->name();
-    EXPECT_EQ(bm.page_writes, qm.page_writes) << index_qm->name();
-    ExpectSamePerQuery(pq_bm, pq_qm);
-    // Per-query compdists must also partition the total.
-    uint64_t sum = 0;
-    for (const OpStats& s : pq_bm) sum += s.dist_computations;
-    EXPECT_EQ(sum, bm.dist_computations) << index_qm->name();
-
-    std::vector<std::vector<Neighbor>> knn_qm, knn_bm;
-    qm = index_qm->KnnQueryBatch(world->queries, world->ks, &knn_qm, &pq_qm,
-                                 BatchMode::kQueryMajor);
-    bm = index_bm->KnnQueryBatch(world->queries, world->ks, &knn_bm, &pq_bm,
-                                 BatchMode::kAuto);
-    ExpectSameKnn(knn_bm, knn_qm);
-    EXPECT_EQ(bm.dist_computations, qm.dist_computations) << index_qm->name();
-    ExpectSamePerQuery(pq_bm, pq_qm);
+// N batches of one: the single-query API, which is a batch of one.  The
+// returned total sums the per-query stats.
+OpStats RangeOneByOne(const MetricIndex& index,
+                      const std::vector<ObjectView>& queries,
+                      const std::vector<double>& radii,
+                      std::vector<std::vector<ObjectId>>* out,
+                      std::vector<OpStats>* per_query) {
+  OpStats total;
+  out->assign(queries.size(), {});
+  per_query->assign(queries.size(), {});
+  for (size_t i = 0; i < queries.size(); ++i) {
+    (*per_query)[i] = index.RangeQuery(queries[i], radii[i], &(*out)[i]);
+    total += (*per_query)[i];
   }
+  return total;
 }
 
-// Batch answers must equal a loop of single-query calls, including the
-// heterogeneous-threshold descriptors.
-TEST_F(BatchInvarianceTest, BatchMatchesSingleQueryLoop) {
-  for (auto& index : BuildBlockMajorIndexes()) {
-    std::vector<std::vector<ObjectId>> mrq;
-    std::vector<OpStats> pq;
-    index->RangeQueryBatch(world->queries, world->radii, &mrq, &pq);
-    std::vector<std::vector<Neighbor>> knn;
-    std::vector<OpStats> kpq;
-    index->KnnQueryBatch(world->queries, world->ks, &knn, &kpq);
-    for (size_t i = 0; i < world->queries.size(); ++i) {
-      std::vector<ObjectId> one;
-      OpStats s =
-          index->RangeQuery(world->queries[i], world->radii[i], &one);
-      EXPECT_EQ(mrq[i], one) << index->name() << " query " << i;
-      EXPECT_EQ(pq[i].dist_computations, s.dist_computations)
-          << index->name() << " query " << i;
-      std::vector<Neighbor> knn_one;
-      s = index->KnnQuery(world->queries[i], world->ks[i], &knn_one);
-      ASSERT_EQ(knn[i].size(), knn_one.size()) << index->name();
-      for (size_t j = 0; j < knn_one.size(); ++j) {
-        EXPECT_EQ(knn[i][j].id, knn_one[j].id);
-        EXPECT_EQ(knn[i][j].dist, knn_one[j].dist);
-      }
-      EXPECT_EQ(kpq[i].dist_computations, s.dist_computations)
-          << index->name() << " query " << i;
-    }
+OpStats KnnOneByOne(const MetricIndex& index,
+                    const std::vector<ObjectView>& queries,
+                    const std::vector<size_t>& ks,
+                    std::vector<std::vector<Neighbor>>* out,
+                    std::vector<OpStats>* per_query) {
+  OpStats total;
+  out->assign(queries.size(), {});
+  per_query->assign(queries.size(), {});
+  for (size_t i = 0; i < queries.size(); ++i) {
+    (*per_query)[i] = index.KnnQuery(queries[i], ks[i], &(*out)[i]);
+    total += (*per_query)[i];
+  }
+  return total;
+}
+
+// Split equivalence: one batch of N answers (results, total stats,
+// per-query stats) exactly as N single queries -- N batches of one --
+// do.  Each side runs on a freshly built instance so CPT's buffer pool
+// starts from the identical post-build state -- the page-access replay
+// is then pinned exactly, not just the results.
+TEST_F(BatchInvarianceTest, BatchMatchesBatchesOfOne) {
+  for (IndexFactory make : kTableFactories) {
+    auto index_one = BuildFresh(make);
+    auto index_batch = BuildFresh(make);
+    std::vector<std::vector<ObjectId>> mrq_one, mrq_batch;
+    std::vector<OpStats> pq_one, pq_batch;
+    OpStats one = RangeOneByOne(*index_one, world->queries, world->radii,
+                                &mrq_one, &pq_one);
+    OpStats batch = index_batch->RangeQueryBatch(world->queries, world->radii,
+                                                 &mrq_batch, &pq_batch);
+    EXPECT_EQ(mrq_batch, mrq_one) << index_one->name();
+    EXPECT_EQ(batch.dist_computations, one.dist_computations)
+        << index_one->name();
+    EXPECT_EQ(batch.page_reads, one.page_reads) << index_one->name();
+    EXPECT_EQ(batch.page_writes, one.page_writes) << index_one->name();
+    ExpectSamePerQuery(pq_batch, pq_one);
+    // Per-query compdists must also partition the total.
+    uint64_t sum = 0;
+    for (const OpStats& s : pq_batch) sum += s.dist_computations;
+    EXPECT_EQ(sum, batch.dist_computations) << index_one->name();
+
+    std::vector<std::vector<Neighbor>> knn_one, knn_batch;
+    one = KnnOneByOne(*index_one, world->queries, world->ks, &knn_one,
+                      &pq_one);
+    batch = index_batch->KnnQueryBatch(world->queries, world->ks, &knn_batch,
+                                       &pq_batch);
+    ExpectSameKnn(knn_batch, knn_one);
+    EXPECT_EQ(batch.dist_computations, one.dist_computations)
+        << index_one->name();
+    EXPECT_EQ(batch.page_reads, one.page_reads) << index_one->name();
+    ExpectSamePerQuery(pq_batch, pq_one);
   }
 }
 
@@ -219,7 +221,7 @@ TEST_F(BatchInvarianceTest, BatchOrderInvariance) {
     shuffled_r.push_back(world->radii[p]);
     shuffled_k.push_back(world->ks[p]);
   }
-  for (auto& index : BuildBlockMajorIndexes()) {
+  for (auto& index : BuildTableIndexes()) {
     std::vector<std::vector<ObjectId>> base, got;
     std::vector<OpStats> base_pq, got_pq;
     index->RangeQueryBatch(world->queries, world->radii, &base, &base_pq);
@@ -247,7 +249,7 @@ TEST_F(BatchInvarianceTest, BatchOrderInvariance) {
 // and per-query compdists concatenate.
 TEST_F(BatchInvarianceTest, BatchSplitInvariance) {
   const size_t kSplits[] = {3, 8, 16};  // 3 + 8 + 16 = kQueries
-  for (auto& index : BuildBlockMajorIndexes()) {
+  for (auto& index : BuildTableIndexes()) {
     std::vector<std::vector<ObjectId>> whole;
     std::vector<OpStats> whole_pq;
     index->RangeQueryBatch(world->queries, world->radii, &whole, &whole_pq);
@@ -273,9 +275,10 @@ TEST_F(BatchInvarianceTest, BatchSplitInvariance) {
   }
 }
 
-// The full cross product: dispatch level x thread count x mode, pinned
-// against one reference capture.
-TEST_F(BatchInvarianceTest, LevelThreadModeCrossProduct) {
+// The full cross product: dispatch level x thread count x batch split
+// (one batch of N, or N batches of one), pinned against one reference
+// capture.
+TEST_F(BatchInvarianceTest, LevelThreadSplitCrossProduct) {
   const char* inherited_env = getenv("PMI_SIMD");
   const std::string inherited = inherited_env ? inherited_env : "";
   const bool had_inherited = inherited_env != nullptr;
@@ -299,15 +302,22 @@ TEST_F(BatchInvarianceTest, LevelThreadModeCrossProduct) {
     ReinitSimdDispatch();
     for (unsigned threads : {1u, 2u, 8u}) {
       ThreadPool::SetGlobalThreads(threads);
-      for (BatchMode mode : {BatchMode::kAuto, BatchMode::kQueryMajor}) {
+      for (bool one_by_one : {false, true}) {
         Capture c;
         for (MetricIndex* index : indexes) {
           std::vector<std::vector<ObjectId>> mrq;
-          OpStats rs = index->RangeQueryBatch(world->queries, world->radii,
-                                              &mrq, nullptr, mode);
           std::vector<std::vector<Neighbor>> knn;
-          OpStats ks = index->KnnQueryBatch(world->queries, world->ks, &knn,
-                                            nullptr, mode);
+          std::vector<OpStats> pq;
+          const OpStats rs =
+              one_by_one ? RangeOneByOne(*index, world->queries,
+                                         world->radii, &mrq, &pq)
+                         : index->RangeQueryBatch(world->queries,
+                                                  world->radii, &mrq);
+          const OpStats ks =
+              one_by_one ? KnnOneByOne(*index, world->queries, world->ks,
+                                       &knn, &pq)
+                         : index->KnnQueryBatch(world->queries, world->ks,
+                                                &knn);
           c.compdists += rs.dist_computations + ks.dist_computations;
           for (auto& v : mrq) c.mrq.push_back(std::move(v));
           for (auto& v : knn) c.knn.push_back(std::move(v));
@@ -335,30 +345,30 @@ TEST_F(BatchInvarianceTest, LevelThreadModeCrossProduct) {
 }
 
 // Degenerate descriptors through the block-major path: k = 0 prunes
-// everything, k > n clamps, r = 0 finds duplicates, all matching the
-// query-major loop.
-TEST_F(BatchInvarianceTest, DegenerateBatchesMatchQueryMajor) {
-  for (auto& index : BuildBlockMajorIndexes()) {
+// everything, k > n clamps, r = 0 finds duplicates, all matching N
+// batches of one.
+TEST_F(BatchInvarianceTest, DegenerateBatchesMatchBatchesOfOne) {
+  for (auto& index : BuildTableIndexes()) {
     std::vector<size_t> ks = {0, 1, kN + 50, 0, 5};
     std::vector<ObjectView> queries(world->queries.begin(),
                                     world->queries.begin() + ks.size());
-    std::vector<std::vector<Neighbor>> bm, qm;
-    index->KnnQueryBatch(queries, ks, &bm, nullptr, BatchMode::kAuto);
-    index->KnnQueryBatch(queries, ks, &qm, nullptr, BatchMode::kQueryMajor);
-    ExpectSameKnn(bm, qm);
-    EXPECT_TRUE(bm[0].empty());
-    EXPECT_EQ(bm[2].size(), size_t{kN});
+    std::vector<std::vector<Neighbor>> batch, one;
+    std::vector<OpStats> pq;
+    index->KnnQueryBatch(queries, ks, &batch);
+    KnnOneByOne(*index, queries, ks, &one, &pq);
+    ExpectSameKnn(batch, one);
+    EXPECT_TRUE(batch[0].empty());
+    EXPECT_EQ(batch[2].size(), size_t{kN});
 
     std::vector<double> radii = {0.0, world->radii[1], -1.0,
                                  world->bd.metric->max_distance() * 1.01,
                                  world->radii[4]};
-    std::vector<std::vector<ObjectId>> rbm, rqm;
-    index->RangeQueryBatch(queries, radii, &rbm, nullptr, BatchMode::kAuto);
-    index->RangeQueryBatch(queries, radii, &rqm, nullptr,
-                           BatchMode::kQueryMajor);
-    EXPECT_EQ(rbm, rqm) << index->name();
-    EXPECT_TRUE(rbm[2].empty());        // negative radius matches nothing
-    EXPECT_EQ(rbm[3].size(), size_t{kN});  // max-distance radius matches all
+    std::vector<std::vector<ObjectId>> rbatch, rone;
+    index->RangeQueryBatch(queries, radii, &rbatch);
+    RangeOneByOne(*index, queries, radii, &rone, &pq);
+    EXPECT_EQ(rbatch, rone) << index->name();
+    EXPECT_TRUE(rbatch[2].empty());        // negative radius matches nothing
+    EXPECT_EQ(rbatch[3].size(), size_t{kN});  // max-distance radius matches all
   }
 }
 

@@ -44,7 +44,7 @@ TEST(BPlusTreeTest, InsertScanSmall) {
   EXPECT_GT(t.height(), 1u);
 }
 
-TEST(BPlusTreeTest, RangeScanBoundsInclusive) {
+TEST(BPlusTreeTest, KeyRangeBoundsInclusive) {
   PerfCounters c;
   PagedFile f(256, 128 * 1024, &c);
   BPlusTree t(&f, 4);

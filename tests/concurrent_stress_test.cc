@@ -496,8 +496,6 @@ TEST(ConcurrentPoolStressTest, ParallelBatchReadersShareOneTinyPool) {
     ASSERT_TRUE(indexes.back() != nullptr) << name;
     indexes.back()->Build(bd.data, *bd.metric, pivots);
   }
-  ASSERT_TRUE(indexes[2]->block_major_batches());
-  ASSERT_FALSE(indexes[3]->block_major_batches());
 
   const double base_radius = SampleRadius(bd.data, *bd.metric);
   Rng rng(kScriptSeed ^ 0xb00);

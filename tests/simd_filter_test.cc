@@ -102,6 +102,46 @@ struct FuzzTable {
   }
 };
 
+// The engine's fixed-radius answer for one query (a block-major scan of
+// one): the rows it verifies, in order.
+std::vector<uint32_t> ScanOne(const PivotTable& t, const double* phi_q,
+                              double r) {
+  std::vector<uint32_t> out;
+  t.ScanBlockMajor(
+      1, [&](size_t) { return phi_q; }, [&](size_t) { return r; },
+      [&](size_t, size_t row) { out.push_back(static_cast<uint32_t>(row)); },
+      [](size_t, size_t) {});
+  return out;
+}
+
+std::vector<uint32_t> ScanOneIndirect(const PivotTable& t, const double* d_qp,
+                                      uint32_t pool_size, double r) {
+  std::vector<uint32_t> out;
+  t.ScanBlockMajorIndirect(
+      1, pool_size, [&](size_t) { return d_qp; }, [&](size_t) { return r; },
+      [&](size_t, size_t row) { out.push_back(static_cast<uint32_t>(row)); },
+      [](size_t, size_t) {});
+  return out;
+}
+
+// Row-major reference for the per-row-pivot layout: rows x l distances
+// and pool indices.
+std::vector<uint32_t> ReferenceScanIndirect(const std::vector<double>& ref_d,
+                                            const std::vector<uint32_t>& ref_i,
+                                            uint32_t l, const double* d_qp,
+                                            double r) {
+  std::vector<uint32_t> out;
+  const size_t n = l == 0 ? 0 : ref_d.size() / l;
+  for (size_t i = 0; i < n; ++i) {
+    bool pruned = false;
+    for (uint32_t j = 0; j < l && !pruned; ++j) {
+      pruned = std::fabs(ref_d[i * l + j] - d_qp[ref_i[i * l + j]]) > r;
+    }
+    if (!pruned) out.push_back(static_cast<uint32_t>(i));
+  }
+  return out;
+}
+
 FuzzTable MakeFuzzShared(size_t n, uint32_t l, uint64_t seed) {
   FuzzTable t;
   t.l = l;
@@ -136,10 +176,8 @@ TEST(SimdFilterTest, SharedScanBitIdenticalAcrossLevelsAllWidths) {
       const std::vector<uint32_t> want = t.ReferenceScan(phi_q.data(), r);
       for (SimdLevel level : SupportedLevels()) {
         ForceLevel(level);
-        std::vector<uint32_t> got;
-        t.table.RangeScan(phi_q.data(), r, &got);
-        EXPECT_EQ(got, want) << "level=" << SimdLevelName(level)
-                             << " l=" << l << " r=" << r;
+        EXPECT_EQ(ScanOne(t.table, phi_q.data(), r), want)
+            << "level=" << SimdLevelName(level) << " l=" << l << " r=" << r;
       }
     }
   }
@@ -164,10 +202,9 @@ TEST(SimdFilterTest, SharedScanBitIdenticalAcrossLevelsBlockTails) {
       const std::vector<uint32_t> want = t.ReferenceScan(phi_q.data(), r);
       for (SimdLevel level : SupportedLevels()) {
         ForceLevel(level);
-        std::vector<uint32_t> got;
-        t.table.RangeScan(phi_q.data(), r, &got);
-        EXPECT_EQ(got, want) << "level=" << SimdLevelName(level)
-                             << " rows=" << n << " r=" << r;
+        EXPECT_EQ(ScanOne(t.table, phi_q.data(), r), want)
+            << "level=" << SimdLevelName(level) << " rows=" << n
+            << " r=" << r;
       }
     }
   }
@@ -202,20 +239,12 @@ TEST(SimdFilterTest, IndirectScanBitIdenticalAcrossLevels) {
     for (auto& x : d_qp) x = rng() % 6 == 0 ? SpecialValue(&rng) : u(rng);
 
     for (double r : kFuzzRadii) {
-      std::vector<uint32_t> want;
-      for (size_t i = 0; i < n; ++i) {
-        bool pruned = false;
-        for (uint32_t j = 0; j < l && !pruned; ++j) {
-          pruned = std::fabs(ref_d[i * l + j] - d_qp[ref_i[i * l + j]]) > r;
-        }
-        if (!pruned) want.push_back(static_cast<uint32_t>(i));
-      }
+      const std::vector<uint32_t> want =
+          ReferenceScanIndirect(ref_d, ref_i, l, d_qp.data(), r);
       for (SimdLevel level : SupportedLevels()) {
         ForceLevel(level);
-        std::vector<uint32_t> got;
-        table.RangeScanIndirect(d_qp.data(), kPool, r, &got);
-        EXPECT_EQ(got, want) << "level=" << SimdLevelName(level)
-                             << " l=" << l << " r=" << r;
+        EXPECT_EQ(ScanOneIndirect(table, d_qp.data(), kPool, r), want)
+            << "level=" << SimdLevelName(level) << " l=" << l << " r=" << r;
       }
     }
   }
@@ -251,9 +280,8 @@ TEST(SimdFilterTest, BoundaryValuesNeverFlipDecisions) {
   EXPECT_LT(want.size(), t.table.rows());  // both sides of the boundary hit
   for (SimdLevel level : SupportedLevels()) {
     ForceLevel(level);
-    std::vector<uint32_t> got;
-    t.table.RangeScan(phi_q.data(), r, &got);
-    EXPECT_EQ(got, want) << "level=" << SimdLevelName(level);
+    EXPECT_EQ(ScanOne(t.table, phi_q.data(), r), want)
+        << "level=" << SimdLevelName(level);
   }
   RestoreDefaultLevel();
 }
@@ -327,12 +355,11 @@ TEST(SimdFilterTest, IndexQueriesBitIdenticalAcrossLevels) {
   }
 }
 
-// Block-major multi-query scan (the batch engine's FilterBlockMulti /
-// mask_sweep_multi path): for every batch size covering the
-// kMultiQueryTile and register-group tails, each query's survivor list
-// must equal its own single-query RangeScan at every dispatch level --
-// adversarial cell magnitudes included.
-TEST(SimdFilterTest, BlockMajorScanMatchesPerQueryScanAcrossLevels) {
+// Block-major multi-query scan (FilterBlockMulti / mask_sweep_multi):
+// for every batch size covering the kMultiQueryTile and register-group
+// tails, each query's survivor list must equal the row-major reference
+// at every dispatch level -- adversarial cell magnitudes included.
+TEST(SimdFilterTest, BlockMajorScanMatchesReferenceAcrossLevels) {
   FuzzTable t = MakeFuzzShared(3 * PivotTable::kScanBlock + 29, 5, 97);
   for (size_t nq : {1u, 3u, 4u, 5u, 15u, 16u, 17u, 37u}) {
     Rng rng(500 + nq);
@@ -357,9 +384,7 @@ TEST(SimdFilterTest, BlockMajorScanMatchesPerQueryScanAcrossLevels) {
           },
           [](size_t, size_t) {});
       for (size_t qi = 0; qi < nq; ++qi) {
-        std::vector<uint32_t> want;
-        t.table.RangeScan(phi[qi].data(), radii[qi], &want);
-        EXPECT_EQ(got[qi], want)
+        EXPECT_EQ(got[qi], t.ReferenceScan(phi[qi].data(), radii[qi]))
             << "level=" << SimdLevelName(level) << " nq=" << nq
             << " qi=" << qi << " r=" << radii[qi];
       }
@@ -426,9 +451,7 @@ TEST(SimdFilterTest, BlockMajorScanTileBoundaryWithUniformRadius) {
         },
         [](size_t, size_t) {});
     for (size_t qi = 0; qi < nq; ++qi) {
-      std::vector<uint32_t> want;
-      t.table.RangeScan(phi[qi].data(), r, &want);
-      EXPECT_EQ(got[qi], want)
+      EXPECT_EQ(got[qi], t.ReferenceScan(phi[qi].data(), r))
           << "level=" << SimdLevelName(level) << " qi=" << qi;
     }
     // In particular the second tile's boundary query keeps the row.
@@ -438,10 +461,12 @@ TEST(SimdFilterTest, BlockMajorScanTileBoundaryWithUniformRadius) {
 }
 
 // Indirect (per-row-pivot) form of the block-major fuzz.
-TEST(SimdFilterTest, BlockMajorIndirectScanMatchesPerQueryScan) {
+TEST(SimdFilterTest, BlockMajorIndirectScanMatchesReference) {
   const uint32_t kPool = 24, l = 4;
   PivotTable table;
   table.Reset(l, /*per_row_pivots=*/true);
+  std::vector<double> ref_d;
+  std::vector<uint32_t> ref_i;
   Rng rng(4242);
   std::uniform_real_distribution<double> u(0.0, 100.0);
   std::vector<double> rd(l);
@@ -452,6 +477,8 @@ TEST(SimdFilterTest, BlockMajorIndirectScanMatchesPerQueryScan) {
       rd[j] = rng() % 8 == 0 ? SpecialValue(&rng) : u(rng);
       ri[j] = rng() % kPool;
     }
+    ref_d.insert(ref_d.end(), rd.begin(), rd.end());
+    ref_i.insert(ref_i.end(), ri.begin(), ri.end());
     table.AppendRow(rd.data(), ri.data());
   }
   for (size_t nq : {1u, 4u, 9u, 16u, 21u}) {
@@ -475,9 +502,8 @@ TEST(SimdFilterTest, BlockMajorIndirectScanMatchesPerQueryScan) {
           },
           [](size_t, size_t) {});
       for (size_t qi = 0; qi < nq; ++qi) {
-        std::vector<uint32_t> want;
-        table.RangeScanIndirect(d_qp[qi].data(), kPool, radii[qi], &want);
-        EXPECT_EQ(got[qi], want)
+        EXPECT_EQ(got[qi], ReferenceScanIndirect(ref_d, ref_i, l,
+                                                 d_qp[qi].data(), radii[qi]))
             << "level=" << SimdLevelName(level) << " nq=" << nq
             << " qi=" << qi << " r=" << radii[qi];
       }

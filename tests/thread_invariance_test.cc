@@ -230,11 +230,10 @@ TEST_F(ThreadInvarianceTest, EstimateDistributionIsIdentical) {
 TEST_F(ThreadInvarianceTest, ResultsInvariantAcrossSimdLevelsAndThreads) {
   // The SIMD dispatch level must be as invisible as the thread count:
   // identical batch results and compdists whether the filter runs
-  // scalar, AVX2, or AVX-512, at any pool size -- and, since PR 5,
-  // whether the batch executes block-major (the kAuto default for the
-  // table indexes) or through the frozen query-major loop.  (The
-  // dispatch table is only swapped between batches -- ReinitSimdDispatch
-  // is not query-concurrent-safe.)
+  // scalar, AVX2, or AVX-512, at any pool size -- and whether the
+  // queries run as one batch of N or as N batches of one (single
+  // queries).  (The dispatch table is only swapped between batches --
+  // ReinitSimdDispatch is not query-concurrent-safe.)
   // The CI scalar-dispatch leg pins PMI_SIMD for the whole run: restore
   // the inherited value afterward rather than clearing it.
   const char* inherited_env = getenv("PMI_SIMD");
@@ -253,19 +252,28 @@ TEST_F(ThreadInvarianceTest, ResultsInvariantAcrossSimdLevelsAndThreads) {
     ReinitSimdDispatch();
     for (unsigned t : kThreadCounts) {
       ThreadPool::SetGlobalThreads(t);
-      for (BatchMode mode : {BatchMode::kAuto, BatchMode::kQueryMajor}) {
-        const std::vector<double> radii(world_->queries.size(), r);
-        const std::vector<size_t> ks_vec(world_->queries.size(), 10);
-        std::vector<std::vector<ObjectId>> range_out;
-        OpStats rs = laesa.RangeQueryBatch(world_->queries, radii,
-                                           &range_out, nullptr, mode);
+      for (bool one_by_one : {false, true}) {
+        const size_t nq = world_->queries.size();
+        std::vector<std::vector<ObjectId>> range_out(nq);
+        std::vector<std::vector<Neighbor>> knn_out(nq);
+        uint64_t cd = 0;
+        if (one_by_one) {
+          for (size_t i = 0; i < nq; ++i) {
+            cd += laesa.RangeQuery(world_->queries[i], r, &range_out[i])
+                      .dist_computations;
+            cd += laesa.KnnQuery(world_->queries[i], 10, &knn_out[i])
+                      .dist_computations;
+          }
+        } else {
+          cd += laesa.RangeQueryBatch(world_->queries, r, &range_out)
+                    .dist_computations;
+          cd += laesa.KnnQueryBatch(world_->queries, 10, &knn_out)
+                    .dist_computations;
+        }
         for (auto& out : range_out) std::sort(out.begin(), out.end());
-        std::vector<std::vector<Neighbor>> knn_out;
-        OpStats ks = laesa.KnnQueryBatch(world_->queries, ks_vec, &knn_out,
-                                         nullptr, mode);
         mrq.push_back(std::move(range_out));
         knn.push_back(std::move(knn_out));
-        compdists.push_back(rs.dist_computations + ks.dist_computations);
+        compdists.push_back(cd);
       }
     }
   }
