@@ -781,19 +781,18 @@ Status MetricDB::SetWriteFault(Status fault) {
   return fault;
 }
 
-namespace {
-constexpr char kFenceMismatchPrefix[] = "sequence fence mismatch";
-}  // namespace
-
 Status SequenceFenceError(uint64_t at, uint64_t expected) {
-  return FailedPreconditionError(
-      std::string(kFenceMismatchPrefix) + ": database at sequence " +
-      std::to_string(at) + ", caller expected " + std::to_string(expected));
+  return Status(StatusCode::kFailedPrecondition,
+                "sequence fence mismatch: database at sequence " +
+                    std::to_string(at) + ", caller expected " +
+                    std::to_string(expected),
+                {.reason = ErrorReason::kFenceMismatch,
+                 .fence_expected = expected,
+                 .fence_observed = at});
 }
 
 bool IsSequenceFenceMismatch(const Status& s) {
-  return s.code() == StatusCode::kFailedPrecondition &&
-         s.message().rfind(kFenceMismatchPrefix, 0) == 0;
+  return s.detail().reason == ErrorReason::kFenceMismatch;
 }
 
 Status MetricDB::Apply(const std::vector<UpdateOp>& ops) {
@@ -896,23 +895,22 @@ Status MetricDB::RotateCheckpoint() {
   wal_ = std::make_unique<WalWriter>(std::move(wal_file), dopts_.sync_mode,
                                      dopts_.sync_interval_commits);
 
-  // Retention window: the new generation plus the previous one (the
-  // corruption fallback).  Pruning is best-effort -- a leftover file
-  // costs disk, not correctness.
-  StatusOr<std::vector<std::string>> names = env_->ListDir(dir_);
-  if (names.ok()) {
-    const uint64_t keep_from = checkpoint_gen_;
-    for (const std::string& name : *names) {
-      uint64_t gen = 0;
-      if ((ParseGenName(name, "ckpt-", ".pmidb", &gen) ||
-           ParseGenName(name, "wal-", ".log", &gen)) &&
-          gen < keep_from) {
-        env_->RemoveFile(JoinPath(dir_, name));
-      }
-    }
-  }
+  PruneGenerations(next);
   checkpoint_gen_ = next;
   return OkStatus();
+}
+
+void MetricDB::PruneGenerations(uint64_t next) {
+  StatusOr<std::vector<std::string>> names = env_->ListDir(dir_);
+  if (!names.ok()) return;
+  for (const std::string& name : *names) {
+    uint64_t gen = 0;
+    if ((ParseGenName(name, "ckpt-", ".pmidb", &gen) ||
+         ParseGenName(name, "wal-", ".log", &gen)) &&
+        gen + 1 < next) {
+      env_->RemoveFile(JoinPath(dir_, name));
+    }
+  }
 }
 
 Status MetricDB::Checkpoint() {
@@ -982,20 +980,7 @@ Status MetricDB::Checkpoint() {
     return SetWriteFault(saved);
   }
   checkpoint_gen_ = next;
-  // Retention window as in RotateCheckpoint: the new generation plus
-  // the previous one.  Best-effort.
-  StatusOr<std::vector<std::string>> names = env_->ListDir(dir_);
-  if (names.ok()) {
-    const uint64_t keep_from = next - 1;
-    for (const std::string& name : *names) {
-      uint64_t gen = 0;
-      if ((ParseGenName(name, "ckpt-", ".pmidb", &gen) ||
-           ParseGenName(name, "wal-", ".log", &gen)) &&
-          gen < keep_from) {
-        env_->RemoveFile(JoinPath(dir_, name));
-      }
-    }
-  }
+  PruneGenerations(next);
   return OkStatus();
 }
 

@@ -221,8 +221,8 @@ struct UpdateOp {
 };
 
 /// Typed failure of MetricDB::ApplyOptions::expected_sequence:
-/// kFailedPrecondition with a machine-recognizable message recording
-/// both sequences.  Nothing was logged or applied.
+/// kFailedPrecondition, reason kFenceMismatch, both sequences in the
+/// detail.  Nothing was logged or applied.
 Status SequenceFenceError(uint64_t at, uint64_t expected);
 /// True iff `s` came from SequenceFenceError.
 bool IsSequenceFenceMismatch(const Status& s);
@@ -493,6 +493,10 @@ class MetricDB {
 
   /// Writes ckpt-(gen+1), opens wal-(gen+1), prunes generation gen-1.
   Status RotateCheckpoint();
+
+  /// Retention window: removes ckpt-/wal- files older than `next` - 1
+  /// (the corruption fallback).  Best-effort: a leftover costs disk.
+  void PruneGenerations(uint64_t next);
 
   /// Puts the database in read-only mode with `fault` (non-OK) unless an
   /// earlier fault already did, and returns `fault`.  Writer-side: call

@@ -13,10 +13,13 @@
 #define PMI_CORE_STATUS_H_
 
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace pmi {
@@ -53,18 +56,41 @@ inline const char* StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
+/// Why an error happened, where the code alone does not say enough to
+/// decide a retry.  Set by the producer that knows; kNone elsewhere.
+enum class ErrorReason : uint8_t {
+  kNone = 0,
+  kNotDispatched,     // deadline hit before the work was dispatched
+  kShardUnavailable,  // shard quarantined or recovering
+  kShardPinned,       // shard pinned read-only until a manual reset
+  kFenceMismatch,     // sequence fence did not match; nothing applied
+};
+
+/// Typed context of an error.  Messages are for humans; decisions read
+/// these fields.  Trivially copyable, so an OK Status carries no
+/// allocation.
+struct StatusDetail {
+  ErrorReason reason = ErrorReason::kNone;
+  std::optional<uint32_t> shard = std::nullopt;  // shard it concerns
+  double retry_after_ms = 0;    // kShardUnavailable: recovery hint
+  uint64_t fence_expected = 0;  // kFenceMismatch: the caller's fence
+  uint64_t fence_observed = 0;  // kFenceMismatch: the actual sequence
+};
+static_assert(std::is_trivially_copyable_v<StatusDetail>);
+
 /// Success-or-error result of an operation without a payload.
 class Status {
  public:
   /// Default is success.
   Status() = default;
-  Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  Status(StatusCode code, std::string message, StatusDetail detail = {})
+      : code_(code), detail_(detail), message_(std::move(message)) {}
 
   static Status Ok() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
+  const StatusDetail& detail() const { return detail_; }
   const std::string& message() const { return message_; }
 
   /// "INVALID_ARGUMENT: page_size must be nonzero" (or "OK").
@@ -75,6 +101,7 @@ class Status {
 
  private:
   StatusCode code_ = StatusCode::kOk;
+  StatusDetail detail_;
   std::string message_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <unordered_map>
 
@@ -80,41 +78,16 @@ bool IsRetryableError(const Status& s, bool query) {
     case StatusCode::kResourceExhausted:
       // Admission refusal: nothing was dispatched.
       return true;
-    case StatusCode::kUnavailable: {
+    case StatusCode::kUnavailable:
       // Quarantine/recovery, or the fault that triggers it; NOT the
       // pinned-read-only terminal state.
-      std::optional<double> ra = ParseRetryAfterMs(s);
-      return !(ra.has_value() && *ra < 0);
-    }
+      return s.detail().reason != ErrorReason::kShardPinned;
     case StatusCode::kDeadlineExceeded:
-      if (query) return true;  // reads are idempotent
-      // Apply: only pre-dispatch expiries are safe to re-send, and the
-      // service types exactly those two ("while queued" as the whole-
-      // request error, "before dispatch" per shard).
-      return s.message().find("while queued") != std::string::npos ||
-             s.message().find("before dispatch") != std::string::npos;
+      // Reads are idempotent; an Apply only when nothing was dispatched.
+      return query || s.detail().reason == ErrorReason::kNotDispatched;
     default:
       return false;
   }
-}
-
-std::optional<double> ParseRetryAfterMs(const Status& s) {
-  if (s.code() != StatusCode::kUnavailable) return std::nullopt;
-  if (s.message().find("manual reset required") != std::string::npos) {
-    return -1.0;
-  }
-  const size_t pos = s.message().find("retry after ");
-  if (pos == std::string::npos) return std::nullopt;
-  return std::strtod(s.message().c_str() + pos + 12, nullptr);
-}
-
-std::optional<uint32_t> ParseUnavailableShard(const Status& s) {
-  if (s.code() != StatusCode::kUnavailable) return std::nullopt;
-  uint32_t shard = 0;
-  if (std::sscanf(s.message().c_str(), "shard %u unavailable", &shard) != 1) {
-    return std::nullopt;
-  }
-  return shard;
 }
 
 StatusOr<QueryResult> QueryWithRetry(const ShardedService& svc,
@@ -129,7 +102,7 @@ StatusOr<QueryResult> QueryWithRetry(const ShardedService& svc,
   const std::optional<Clock::time_point> budget = ResolveBudget(policy, opts);
   Backoff backoff(policy.backoff, policy.seed);
 
-  Status last = DeadlineExceededError("retry budget exhausted before dispatch");
+  Status last = NotDispatchedError("retry budget exhausted before dispatch");
   for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
     RequestOptions aopts = opts;
     if (budget.has_value()) {
@@ -143,9 +116,9 @@ StatusOr<QueryResult> QueryWithRetry(const ShardedService& svc,
     if (!IsRetryableError(r.status(), /*query=*/true)) return r.status();
     last = r.status();
     if (attempt + 1 == max_attempts) break;
-    double delay = backoff.NextDelayMs();
-    const std::optional<double> ra = ParseRetryAfterMs(last);
-    if (ra.has_value() && *ra > delay) delay = *ra;
+    // A quarantined shard's retry-after hint floors the delay.
+    double delay =
+        std::max(backoff.NextDelayMs(), last.detail().retry_after_ms);
     if (budget.has_value()) delay = std::min(delay, RemainingMs(budget));
     SleepMs(delay);
     if (delay > 0) st->slept_ms += delay;
@@ -167,15 +140,8 @@ StatusOr<ApplyResult> ApplyWithRetry(ShardedService& svc,
   const ShardRouter& router = svc.router();
   const uint32_t num_shards = svc.num_shards();
 
-  // Validate ids up front so routing below is safe; mirrors the typed
-  // error ShardedService::Apply would return.
-  for (const UpdateOp& op : ops) {
-    if (op.id >= router.size()) {
-      return InvalidArgumentError("update id " + std::to_string(op.id) +
-                                  " out of range [0, " +
-                                  std::to_string(router.size()) + ")");
-    }
-  }
+  // Validate ids up front so routing below is safe.
+  PMI_RETURN_IF_ERROR(CheckUpdateIds(router, ops));
 
   // Sub-batches keyed by owning shard, in GLOBAL ids (resent through
   // the service, which re-routes).
@@ -309,9 +275,7 @@ StatusOr<ApplyResult> ApplyWithRetry(ShardedService& svc,
     // A quarantined shard's retry-after hint floors the delay.
     for (uint32_t s = 0; s < num_shards; ++s) {
       if (!pending[s]) continue;
-      const std::optional<double> ra =
-          ParseRetryAfterMs(result.shard_status[s]);
-      if (ra.has_value() && *ra > delay) delay = *ra;
+      delay = std::max(delay, result.shard_status[s].detail().retry_after_ms);
     }
     if (budget.has_value()) delay = std::min(delay, RemainingMs(budget));
     SleepMs(delay);

@@ -2,18 +2,17 @@
 // retries with deterministic backoff inside the caller's deadline
 // budget.
 //
-// Only SAFELY retryable typed errors are retried:
+// Only SAFELY retryable typed errors are retried, judged by the code and
+// Status::detail() -- never by the message text:
 //   - kResourceExhausted: the admission queue refused the request;
 //     nothing was dispatched.
-//   - kDeadlineExceeded, pre-dispatch only: "expired while queued" as a
-//     whole-request error, or a per-shard status taken BEFORE that
-//     shard's sub-batch was dispatched (ExecuteApply checks the budget
-//     before each shard commit).  In both cases nothing was applied.
-//   - kUnavailable during quarantine/recovery: the supervisor has the
-//     shard; the error carries the shard id and a retry-after hint that
-//     floors the next backoff delay.  A pinned-read-only kUnavailable
-//     ("manual reset required") is terminal and is NOT retried.
-// Queries are additionally idempotent by nature, so a mid-gather
+//   - kDeadlineExceeded with reason kNotDispatched: expired in the
+//     admission queue, or before that shard's sub-batch was dispatched
+//     (ExecuteApply checks the budget before each shard commit).
+//   - kUnavailable: a fresh write fault, or quarantine/recovery (reason
+//     kShardUnavailable, whose retry_after_ms floors the next backoff
+//     delay).  Reason kShardPinned (manual reset required) is terminal.
+// Queries are additionally idempotent by nature, so any
 // kDeadlineExceeded query is also safe to retry with fresh budget.
 //
 // Idempotence contract for ApplyWithRetry (the interesting half): a
@@ -89,14 +88,6 @@ struct RetryStats {
 /// comment).  `query` relaxes the kDeadlineExceeded pre-dispatch
 /// restriction, since reads are idempotent.
 bool IsRetryableError(const Status& s, bool query);
-
-/// Parses the "retry after <ms> ms" hint a quarantined shard's
-/// kUnavailable carries; nullopt when absent, negative when the status
-/// says the shard is pinned awaiting manual reset.
-std::optional<double> ParseRetryAfterMs(const Status& s);
-
-/// Parses the shard id out of a service-typed kUnavailable.
-std::optional<uint32_t> ParseUnavailableShard(const Status& s);
 
 /// Query with retries.  Each attempt runs under the REMAINING budget
 /// (the per-attempt deadline shrinks as budget is spent), so the call

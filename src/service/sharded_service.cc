@@ -186,16 +186,37 @@ void AppendChunk(QueryResult* acc, QueryResult&& part) {
 
 }  // namespace
 
-Status ShardUnavailableError(uint32_t shard, double retry_after_ms,
-                             const std::string& detail) {
-  char hint[48];
-  if (retry_after_ms < 0) {
-    std::snprintf(hint, sizeof(hint), "manual reset required");
-  } else {
+Status CheckUpdateIds(const ShardRouter& router,
+                      const std::vector<UpdateOp>& ops) {
+  for (const UpdateOp& op : ops) {
+    if (op.id >= router.size()) {
+      return InvalidArgumentError("update id " + std::to_string(op.id) +
+                                  " out of range [0, " +
+                                  std::to_string(router.size()) + ")");
+    }
+  }
+  return OkStatus();
+}
+
+Status NotDispatchedError(std::string message) {
+  return Status(StatusCode::kDeadlineExceeded, std::move(message),
+                {.reason = ErrorReason::kNotDispatched});
+}
+
+Status ShardUnavailableError(uint32_t shard, ShardHealth health,
+                             double retry_after_ms,
+                             const std::string& context) {
+  StatusDetail detail{.reason = ErrorReason::kShardPinned, .shard = shard};
+  char hint[48] = "manual reset required";
+  if (health != ShardHealth::kPinnedReadOnly) {
+    detail.reason = ErrorReason::kShardUnavailable;
+    detail.retry_after_ms = retry_after_ms;
     std::snprintf(hint, sizeof(hint), "retry after %.3f ms", retry_after_ms);
   }
-  return UnavailableError("shard " + std::to_string(shard) +
-                          " unavailable: " + detail + " (" + hint + ")");
+  return Status(StatusCode::kUnavailable,
+                "shard " + std::to_string(shard) + " unavailable: " +
+                    HealthDetail(health) + context + " (" + hint + ")",
+                detail);
 }
 
 // -- construction -------------------------------------------------------------
@@ -394,7 +415,7 @@ T ShardedService::Submit(const Deadline& deadline, std::function<T()> fn) const 
         if (Expired(deadline)) {
           deadline_expired_.fetch_add(1, std::memory_order_relaxed);
           r.emplace(
-              DeadlineExceededError("request deadline expired while queued"));
+              NotDispatchedError("request deadline expired while queued"));
         } else {
           r.emplace(fn());
         }
@@ -422,7 +443,8 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
   // Chunked single-source execution with the deadline budget re-checked
   // between chunks (see kDeadlineChunkQueries).
   auto run_chunked =
-      [&](const std::function<StatusOr<QueryResult>(const QueryRequest&)>& run)
+      [&](uint32_t s,
+          const std::function<StatusOr<QueryResult>(const QueryRequest&)>& run)
       -> StatusOr<QueryResult> {
     if (!deadline.has_value() ||
         request.batch.size() <= kDeadlineChunkQueries) {
@@ -433,9 +455,10 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
          begin += kDeadlineChunkQueries) {
       if (Expired(deadline)) {
         deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        return DeadlineExceededError(
-            "request deadline expired mid-shard (deadline budget "
-            "propagates into per-shard chunks)");
+        return Status(StatusCode::kDeadlineExceeded,
+                      "request deadline expired mid-shard (deadline budget "
+                      "propagates into per-shard chunks)",
+                      {.shard = s});
       }
       const size_t count =
           std::min(kDeadlineChunkQueries, request.batch.size() - begin);
@@ -462,10 +485,12 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
         StatusOr<MetricDB::ReadView> view = sv.db->GetReadView();
         StatusOr<QueryResult> live =
             view.ok()
-                ? run_chunked(
-                      [&](const QueryRequest& q) { return view->Query(q); })
-                : run_chunked(
-                      [&](const QueryRequest& q) { return sv.db->Query(q); });
+                ? run_chunked(s, [&](const QueryRequest& q) {
+                    return view->Query(q);
+                  })
+                : run_chunked(s, [&](const QueryRequest& q) {
+                    return sv.db->Query(q);
+                  });
         if (live.ok() ||
             live.status().code() == StatusCode::kDeadlineExceeded) {
           return live;
@@ -477,12 +502,12 @@ StatusOr<QueryResult> ShardedService::ExecuteQuery(const QueryRequest& request,
         if (sv.health == ShardHealth::kHealthy) return live;
       }
       if (sv.stale_view.has_value()) {
-        return run_chunked(
-            [&](const QueryRequest& q) { return sv.stale_view->Query(q); });
+        return run_chunked(s, [&](const QueryRequest& q) {
+          return sv.stale_view->Query(q);
+        });
       }
-      return ShardUnavailableError(
-          s, sv.retry_after_ms,
-          std::string(HealthDetail(sv.health)) + ", no stale view");
+      return ShardUnavailableError(s, sv.health, sv.retry_after_ms,
+                                   ", no stale view");
     }();
     if (!r.ok()) return r.status();
     per_shard.push_back(std::move(*r));
@@ -498,7 +523,7 @@ StatusOr<ApplyResult> ShardedService::ExecuteApply(
     const Deadline& deadline) {
   if (Expired(deadline)) {
     deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    return DeadlineExceededError("request deadline expired while queued");
+    return NotDispatchedError("request deadline expired while queued");
   }
   // Route to owning shards, rewriting to local ids; op order within a
   // shard follows batch order, so per-shard liveness validation sees
@@ -517,7 +542,7 @@ StatusOr<ApplyResult> ShardedService::ExecuteApply(
     // retry layer may safely re-send that sub-batch.
     if (Expired(deadline)) {
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      result.shard_status[s] = DeadlineExceededError(
+      result.shard_status[s] = NotDispatchedError(
           "request deadline expired before dispatch to shard " +
           std::to_string(s));
       continue;
@@ -525,7 +550,7 @@ StatusOr<ApplyResult> ShardedService::ExecuteApply(
     SlotView sv = SnapshotSlot(s);
     if (sv.health != ShardHealth::kHealthy || sv.db == nullptr) {
       result.shard_status[s] =
-          ShardUnavailableError(s, sv.retry_after_ms, HealthDetail(sv.health));
+          ShardUnavailableError(s, sv.health, sv.retry_after_ms);
       continue;
     }
     MetricDB::ApplyOptions aopts;
@@ -544,10 +569,8 @@ StatusOr<ApplyResult> ShardedService::ExecuteApply(
         // and the Apply; keep the error typed for the retry layer.
         SlotView now = SnapshotSlot(s);
         if (now.health != ShardHealth::kHealthy) {
-          st = ShardUnavailableError(
-              s, now.retry_after_ms,
-              std::string(HealthDetail(now.health)) + " (" + st.message() +
-                  ")");
+          st = ShardUnavailableError(s, now.health, now.retry_after_ms,
+                                     " (" + st.message() + ")");
         }
       }
     }
@@ -573,13 +596,7 @@ StatusOr<ApplyResult> ShardedService::Apply(const std::vector<UpdateOp>& ops,
   if (closed_.load(std::memory_order_acquire)) {
     return FailedPreconditionError("service is closed");
   }
-  for (const UpdateOp& op : ops) {
-    if (op.id >= router_->size()) {
-      return InvalidArgumentError("update id " + std::to_string(op.id) +
-                                  " out of range [0, " +
-                                  std::to_string(router_->size()) + ")");
-    }
-  }
+  PMI_RETURN_IF_ERROR(CheckUpdateIds(*router_, ops));
   Deadline deadline = ResolveDeadline(opts);
   return Submit<StatusOr<ApplyResult>>(deadline, [this, &ops, &opts, deadline] {
     return ExecuteApply(ops, opts, deadline);
@@ -605,8 +622,7 @@ Status ShardedService::Checkpoint() {
     SlotView sv = SnapshotSlot(s);
     Status st = (sv.health == ShardHealth::kHealthy && sv.db != nullptr)
                     ? sv.db->Checkpoint()
-                    : ShardUnavailableError(s, sv.retry_after_ms,
-                                            HealthDetail(sv.health));
+                    : ShardUnavailableError(s, sv.health, sv.retry_after_ms);
     if (first.ok() && !st.ok()) first = st;
   }
   return first;
@@ -631,9 +647,8 @@ StatusOr<ShardedService::ReadView> ShardedService::GetReadView() const {
       // still one consistent version, just not the freshest.
       views.push_back(*sv.stale_view);
     } else {
-      return ShardUnavailableError(
-          s, sv.retry_after_ms,
-          std::string(HealthDetail(sv.health)) + ", no stale view");
+      return ShardUnavailableError(s, sv.health, sv.retry_after_ms,
+                                   ", no stale view");
     }
   }
   return ReadView(router_, std::move(views));
@@ -742,8 +757,7 @@ std::vector<Status> ShardedService::write_statuses() const {
     if (sv.health == ShardHealth::kHealthy && sv.db != nullptr) {
       out.push_back(sv.db->write_status());
     } else {
-      out.push_back(
-          ShardUnavailableError(s, sv.retry_after_ms, HealthDetail(sv.health)));
+      out.push_back(ShardUnavailableError(s, sv.health, sv.retry_after_ms));
     }
   }
   return out;

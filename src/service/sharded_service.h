@@ -118,12 +118,21 @@ struct ApplyResult {
   }
 };
 
+/// kInvalidArgument for the first op id `router` does not route.
+Status CheckUpdateIds(const ShardRouter& router,
+                      const std::vector<UpdateOp>& ops);
+
+/// kDeadlineExceeded, reason kNotDispatched: expired before dispatch,
+/// so nothing was applied and a write may be re-sent.
+Status NotDispatchedError(std::string message);
+
 /// The typed error a quarantined / recovering / pinned shard returns
 /// for writes (and for reads only when no stale view is available):
-/// kUnavailable carrying the shard id and a retry-after hint.
-/// retry_after_ms < 0 marks the pinned-read-only terminal state.
-Status ShardUnavailableError(uint32_t shard, double retry_after_ms,
-                             const std::string& detail);
+/// kUnavailable carrying the shard id and a retry-after hint, or reason
+/// kShardPinned (terminal) for a pinned shard.
+Status ShardUnavailableError(uint32_t shard, ShardHealth health,
+                             double retry_after_ms,
+                             const std::string& context = "");
 
 class ShardedService {
  public:

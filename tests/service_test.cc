@@ -401,6 +401,8 @@ TEST(AdmissionTest, ExpiredDeadlineIsTyped) {
   StatusOr<ApplyResult> a = svc->Apply({UpdateOp::Remove(0)}, expired);
   ASSERT_FALSE(a.ok());
   EXPECT_EQ(a.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(a.status().detail().reason, ErrorReason::kNotDispatched)
+      << "expired in the queue: nothing dispatched, safe to re-send";
   EXPECT_GE(svc->stats().deadline_expired, 2u);
 
   // No deadline: same requests succeed.
@@ -667,7 +669,12 @@ TEST(DeadlineBudgetTest, ExpiresMidShardNotJustAtDispatch) {
       svc->Query(QueryRequest::KnnBatch(queries, size_t{8}), opts);
   ASSERT_FALSE(r.ok()) << "a 2ms budget cannot cover 2048 scans of 4096";
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(r.status().message().find("mid-shard"), std::string::npos)
+  // Expired inside shard 0's chunk loop: after dispatch (no
+  // kNotDispatched reason) and naming the shard, unlike a mid-gather or
+  // in-queue expiry.
+  EXPECT_EQ(r.status().detail().reason, ErrorReason::kNone)
+      << r.status().ToString();
+  EXPECT_EQ(r.status().detail().shard.value_or(999), 0u)
       << r.status().ToString();
   EXPECT_GE(svc->stats().deadline_expired, 1u);
 

@@ -9,10 +9,11 @@
 //   - a ReadView bundle pinned on the victim BEFORE the fault keeps
 //     answering bit-identically across the hot-swap;
 //   - the circuit breaker pins a shard whose recovery keeps failing,
-//     writes carry "manual reset required", and ResetShard re-arms
-//     recovery to full health;
+//     writes carry the terminal reason kShardPinned, and ResetShard
+//     re-arms recovery to full health;
 //   - a quarantined shard serves stale reads and typed kUnavailable
-//     writes (shard id + retry-after parseable);
+//     writes (shard id + retry-after hint in the Status detail);
+//   - retry decisions read the typed detail, never the message text;
 //   - recovery racing Close() neither deadlocks nor crashes, across a
 //     spread of interleavings;
 //   - ApplyWithRetry never double-applies a batch whose "failed" WAL
@@ -227,28 +228,32 @@ TEST(BackoffTest, ScheduleDeterministicUnderFixedSeed) {
 
 // -- typed-error plumbing -----------------------------------------------------
 
-TEST(RetryPolicyTest, ErrorClassificationAndParsing) {
+TEST(RetryPolicyTest, ErrorClassificationReadsTypedFields) {
   const Status quarantined =
-      ShardUnavailableError(2, 12.5, "quarantined after a write fault");
+      ShardUnavailableError(2, ShardHealth::kQuarantined, 12.5);
   EXPECT_EQ(quarantined.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(quarantined.detail().reason, ErrorReason::kShardUnavailable);
   EXPECT_TRUE(IsRetryableError(quarantined, /*query=*/false));
-  ASSERT_TRUE(ParseRetryAfterMs(quarantined).has_value());
-  EXPECT_DOUBLE_EQ(*ParseRetryAfterMs(quarantined), 12.5);
-  ASSERT_TRUE(ParseUnavailableShard(quarantined).has_value());
-  EXPECT_EQ(*ParseUnavailableShard(quarantined), 2u);
+  EXPECT_DOUBLE_EQ(quarantined.detail().retry_after_ms, 12.5);
+  ASSERT_TRUE(quarantined.detail().shard.has_value());
+  EXPECT_EQ(*quarantined.detail().shard, 2u);
 
-  const Status pinned = ShardUnavailableError(
-      1, -1, "pinned read-only by the circuit breaker");
+  const Status pinned =
+      ShardUnavailableError(1, ShardHealth::kPinnedReadOnly, -1);
   EXPECT_FALSE(IsRetryableError(pinned, /*query=*/false))
       << "pinned shards are terminal until manual reset";
-  EXPECT_LT(*ParseRetryAfterMs(pinned), 0);
+  EXPECT_EQ(pinned.detail().reason, ErrorReason::kShardPinned);
+  EXPECT_EQ(pinned.detail().shard.value_or(999), 1u);
 
   EXPECT_TRUE(IsRetryableError(ResourceExhaustedError("queue full"), false));
+  const Status queued =
+      NotDispatchedError("request deadline expired while queued");
+  EXPECT_EQ(queued.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(queued.detail().reason, ErrorReason::kNotDispatched);
+  EXPECT_TRUE(IsRetryableError(queued, false));
   EXPECT_TRUE(IsRetryableError(
-      DeadlineExceededError("request deadline expired while queued"), false));
-  EXPECT_TRUE(IsRetryableError(
-      DeadlineExceededError("request deadline expired before dispatch to "
-                            "shard 1"),
+      NotDispatchedError("request deadline expired before dispatch to "
+                         "shard 1"),
       false));
   EXPECT_FALSE(IsRetryableError(
       DeadlineExceededError("request deadline expired mid-gather"), false))
@@ -260,10 +265,36 @@ TEST(RetryPolicyTest, ErrorClassificationAndParsing) {
   EXPECT_FALSE(IsRetryableError(InvalidArgumentError("bad id"), false));
 
   const Status fence = SequenceFenceError(7, 5);
+  EXPECT_EQ(fence.code(), StatusCode::kFailedPrecondition);
   EXPECT_TRUE(IsSequenceFenceMismatch(fence));
+  EXPECT_EQ(fence.detail().fence_expected, 5u);
+  EXPECT_EQ(fence.detail().fence_observed, 7u);
   EXPECT_FALSE(IsRetryableError(fence, false))
       << "fence mismatches route through the liveness probe, not blind "
          "retry";
+}
+
+// Message text decides nothing: error prose embeds user data (file
+// paths) and wrapped inner messages.
+TEST(RetryPolicyTest, RetryDecisionsIgnoreMessageText) {
+  EXPECT_TRUE(IsRetryableError(
+      UnavailableError("write /srv/manual reset required/wal-000001.log: "
+                       "No space left on device"),
+      /*query=*/false))
+      << "a fresh write fault is retryable whatever its path says";
+  EXPECT_FALSE(IsRetryableError(
+      DeadlineExceededError("request deadline expired before dispatch"),
+      /*query=*/false))
+      << "only the kNotDispatched reason makes an Apply expiry re-sendable";
+  EXPECT_FALSE(IsSequenceFenceMismatch(FailedPreconditionError(
+      "sequence fence mismatch: database at sequence 7, caller expected 5")))
+      << "only the kFenceMismatch reason marks a fence mismatch";
+  const Status wrapped =
+      ShardUnavailableError(3, ShardHealth::kRecovering, 25,
+                            " (inner: retry after 99999 ms)");
+  EXPECT_DOUBLE_EQ(wrapped.detail().retry_after_ms, 25)
+      << "the outer hint wins over text inside the wrapped message";
+  EXPECT_EQ(wrapped.detail().shard.value_or(999), 3u);
 }
 
 // -- recovery happy path ------------------------------------------------------
@@ -429,8 +460,8 @@ TEST(SupervisorTest, CircuitBreakerTripsAndManualResetRecovers) {
   // Pinned: writes are terminal typed kUnavailable naming the shard...
   Status refused = rig.svc->Remove(a);
   EXPECT_EQ(refused.code(), StatusCode::kUnavailable) << refused.ToString();
-  EXPECT_EQ(ParseUnavailableShard(refused).value_or(999), victim);
-  EXPECT_LT(ParseRetryAfterMs(refused).value_or(0), 0);
+  EXPECT_EQ(refused.detail().shard.value_or(999), victim);
+  EXPECT_EQ(refused.detail().reason, ErrorReason::kShardPinned);
   EXPECT_FALSE(IsRetryableError(refused, /*query=*/false));
   // ...and reads still flow from the stale quarantine view.
   EXPECT_TRUE(rig.svc->alive(a));
@@ -489,8 +520,9 @@ TEST(SupervisorTest, QuarantinedShardServesStaleReadsAndTypedWrites) {
   // retry-after hint (recovery is parked an hour away).
   Status refused = rig.svc->Remove(a);
   ASSERT_EQ(refused.code(), StatusCode::kUnavailable) << refused.ToString();
-  EXPECT_EQ(ParseUnavailableShard(refused).value_or(999), victim);
-  EXPECT_GT(ParseRetryAfterMs(refused).value_or(-1), 0);
+  EXPECT_EQ(refused.detail().shard.value_or(999), victim);
+  EXPECT_EQ(refused.detail().reason, ErrorReason::kShardUnavailable);
+  EXPECT_GT(refused.detail().retry_after_ms, 0);
   EXPECT_TRUE(IsRetryableError(refused, /*query=*/false));
 
   // Reads: the stale view answers (the un-acked remove is not visible
